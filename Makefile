@@ -2,15 +2,16 @@
 
 GO ?= go
 
-.PHONY: all verify build test race lint lint-strict check crash stress-smoke fuzz bench bench-all bench-baselines bench-ingest bench-query bench-parallel parallel-smoke bench-checkpoint checkpoint-smoke bench-compare experiments report html clean
+.PHONY: all verify build test race lint lint-strict check crash stress-smoke e2e-smoke fuzz bench bench-all bench-baselines bench-ingest bench-query bench-parallel parallel-smoke bench-checkpoint checkpoint-smoke bench-compare experiments report html clean
 
 all: build test lint
 
 # The umbrella gate CI runs: build + vet, the test suite, the race
 # detector, strict quantlint (all 15 rules, waived findings inventoried),
-# the sqcheck deep-sanitizer pass, a seeded quantstress soak and the
-# multi-writer scaling and checkpoint fan-out efficiency smokes.
-verify: build test lint-strict race check stress-smoke parallel-smoke checkpoint-smoke
+# the sqcheck deep-sanitizer pass, a seeded quantstress soak, the
+# end-to-end benchmark smoke and the multi-writer scaling and
+# checkpoint fan-out efficiency smokes.
+verify: build test lint-strict race check stress-smoke e2e-smoke parallel-smoke checkpoint-smoke
 
 build:
 	$(GO) build ./...
@@ -73,6 +74,14 @@ stress-smoke:
 	rm -rf /tmp/sq_stress_ck
 	$(GO) run -race ./cmd/quantstress -algo gkarray -bits 14 -ops 30000 -dist zipf -reshard 5 -retarget-eps 0.02
 	$(GO) test -race -count=1 -run 'TestShortSoak|TestKillNineResume' ./cmd/quantstress/
+
+# End-to-end benchmark smoke: the e2ebench module (its own go.mod,
+# building the library from this checkout) runs every workload tiny,
+# untraced and traced, under the race detector, and asserts every
+# declared metric and a passing correctness gate. Its shardedC
+# interface pins the public sharded surface the workloads drive.
+e2e-smoke:
+	cd e2ebench && $(GO) test -race ./...
 
 # Short live-fuzz session over the decoder harnesses (the seed corpus
 # alone runs as part of `make test`).

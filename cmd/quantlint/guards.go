@@ -17,7 +17,16 @@
 //
 // declares that calling it acquires the receiver's <name> mutex and
 // returns the matching unlock — `defer c.rlock()()` therefore acquires
-// at the defer statement and releases at function exit.
+// at the defer statement and releases at function exit. The variant
+// line `locks result.<name>` declares a helper that returns a value
+// whose <name> mutex it has locked, handing the release to the caller:
+//
+//	// lockLive returns the live shard, locked ...
+//	// locks result.mu
+//	func (b *base[S]) lockLive(slot uint64) *shard[S] { ... }
+//
+// Its own `return sh` releases sh.mu (ownership leaves the function),
+// and `sh := b.lockLive(slot)` in a caller acquires sh.mu there.
 //
 // The grammar is deliberately exact-match (a comment line must start
 // with "guarded by", a locks line must be the whole line) so prose
@@ -40,6 +49,9 @@ type guardTable struct {
 	// lockFuncs: `locks <mu>` helpers -> mutex field name their receiver
 	// acquires.
 	lockFuncs map[types.Object]string
+	// lockedResults: `locks result.<mu>` helpers -> mutex field name of
+	// the value they return locked.
+	lockedResults map[types.Object]string
 	// bad collects malformed annotations (unknown sibling, non-mutex
 	// guard); they surface as SQ010 findings so typos cannot silently
 	// disable checking.
@@ -94,8 +106,9 @@ func locksAnnotation(doc *ast.CommentGroup) string {
 // docs for annotations, resolving names through the typed pass.
 func buildGuardTable(p *pkgInfo, ti *typeInfo) *guardTable {
 	gt := &guardTable{
-		fields:    map[types.Object]string{},
-		lockFuncs: map[types.Object]string{},
+		fields:        map[types.Object]string{},
+		lockFuncs:     map[types.Object]string{},
+		lockedResults: map[types.Object]string{},
 	}
 	for _, f := range p.files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -136,7 +149,13 @@ func buildGuardTable(p *pkgInfo, ti *typeInfo) *guardTable {
 			if guard == "" {
 				continue
 			}
-			if obj := ti.info.Defs[fd.Name]; obj != nil {
+			obj := ti.info.Defs[fd.Name]
+			if obj == nil {
+				continue
+			}
+			if name, ok := strings.CutPrefix(guard, "result."); ok {
+				gt.lockedResults[obj] = name
+			} else {
 				gt.lockFuncs[obj] = guard
 			}
 		}

@@ -28,6 +28,9 @@
 //	return c.mu.Unlock        the bound unlock method value transfers
 //	                          release ownership to the caller: counts
 //	                          as a release (safe.go's rlock pattern)
+//	sh := b.lockLive(slot)    `locks result.mu` helper: acquire sh.mu
+//	return sh                 inside such a helper: release sh.mu, the
+//	                          caller now owns it
 //
 // Constructors (New*/new*) are exempt from SQ010: they build the
 // struct before it escapes, so no lock can or need be held. Explicit
@@ -282,12 +285,20 @@ func (fa *funcLockAnalysis) scanNode(n ast.Node, st *lockState) {
 		for _, r := range n.Results {
 			fa.scanExpr(r, st)
 		}
+		if name := fa.gt.lockedResults[fa.ti.info.Defs[fa.fd.Name]]; name != "" && len(n.Results) == 1 {
+			st.release(lockKey(n.Results[0]) + "." + name)
+		}
 	case *ast.AssignStmt:
 		for _, r := range n.Rhs {
 			fa.scanExpr(r, st)
 		}
 		for _, lhs := range n.Lhs {
 			fa.scanExpr(lhs, st)
+		}
+		if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
+			if name, ok := fa.lockedResult(n.Rhs[0]); ok {
+				st.acquire(lockKey(n.Lhs[0])+"."+name, n.Pos())
+			}
 		}
 	case *ast.ExprStmt:
 		fa.scanExpr(n.X, st)
@@ -368,11 +379,44 @@ func (fa *funcLockAnalysis) lockHelperKey(call *ast.CallExpr) (string, bool) {
 	if obj == nil {
 		return "", false
 	}
-	guard, ok := fa.gt.lockFuncs[obj]
+	guard, ok := fa.gt.lockFuncs[originObj(obj)]
 	if !ok {
 		return "", false
 	}
 	return lockKey(sel.X) + "." + guard, true
+}
+
+// originObj maps a field or method of an instantiated generic type
+// (shard[S].s seen through shard[core.CashRegister]) back to its
+// declaration, where the annotation table keys it — without this every
+// access through a generic type would go unchecked.
+func originObj(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Var:
+		return o.Origin()
+	case *types.Func:
+		return o.Origin()
+	}
+	return obj
+}
+
+// lockedResult recognizes a call to a `locks result.<mu>` helper and
+// returns the mutex field its result comes back holding.
+func (fa *funcLockAnalysis) lockedResult(e ast.Expr) (string, bool) {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return "", false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	obj := fa.ti.info.Uses[sel.Sel]
+	if obj == nil {
+		return "", false
+	}
+	name, ok := fa.gt.lockedResults[originObj(obj)]
+	return name, ok
 }
 
 func isUnlockName(name string) bool { return name == "Unlock" || name == "RUnlock" }
@@ -479,7 +523,7 @@ func (fa *funcLockAnalysis) checkAccess(sel *ast.SelectorExpr, st *lockState) {
 	if obj == nil {
 		return
 	}
-	guard, ok := fa.gt.fields[obj]
+	guard, ok := fa.gt.fields[originObj(obj)]
 	if !ok {
 		return
 	}

@@ -23,8 +23,10 @@ var sq014Pkgs = []string{"internal/sharded"}
 //     blank fixed-size-array pad field (`_ [N]byte`): without one,
 //     adjacent elements share cache lines and every uncontended
 //     lock/atomic op still ping-pongs the neighbours' lines (see
-//     cashShard and TestShardStructsPadded). Slices of pointers are
-//     exempt — the elements are separate allocations;
+//     shard and TestShardStructsPadded). Generic element types count
+//     too: `[]shard[S]` and `[]pair[K, V]` name their struct through
+//     an index expression. Slices of pointers are exempt — the
+//     elements are separate allocations;
 //   - no package-level atomic variables: a file-scope atomic is shared
 //     hot state every writer in the process hits with no way to pad or
 //     shard it. Counters belong inside a container (isolated between
@@ -43,13 +45,13 @@ func (l *linter) checkSQ014() {
 				if !ok {
 					return true
 				}
-				id, ok := at.Elt.(*ast.Ident)
-				if !ok || !hot[id.Name] || padded[id.Name] || reported[id.Name] {
+				id := sq014ElemName(at.Elt)
+				if id == nil || !hot[id.Name] || padded[id.Name] || reported[id.Name] {
 					return true
 				}
 				reported[id.Name] = true
 				l.report(at.Pos(), "SQ014", fmt.Sprintf(
-					"%s holds hot shared mutable fields (mutex/atomic) and is stored by value in a slice without cache-line padding: adjacent elements false-share; add a blank `_ [N]byte` pad rounding the struct to a line multiple (see cashShard)", id.Name))
+					"%s holds hot shared mutable fields (mutex/atomic) and is stored by value in a slice without cache-line padding: adjacent elements false-share; add a blank `_ [N]byte` pad rounding the struct to a line multiple (see shard)", id.Name))
 				return true
 			})
 		}
@@ -72,6 +74,20 @@ func (l *linter) checkSQ014() {
 			}
 		}
 	}
+}
+
+// sq014ElemName returns the package type a slice element names by
+// value — T, or a generic T[A] / T[A, B] instantiation — or nil for
+// any other element (pointers, selectors, literals).
+func sq014ElemName(e ast.Expr) *ast.Ident {
+	switch t := e.(type) {
+	case *ast.IndexExpr:
+		e = t.X
+	case *ast.IndexListExpr:
+		e = t.X
+	}
+	id, _ := e.(*ast.Ident)
+	return id
 }
 
 // sq014Structs classifies the package's struct types: hot (carrying a

@@ -406,14 +406,18 @@ func (h *harness) doRetarget() {
 			cfg.retargetEps, h.cash.EpsBudget(), h.cash.Components(), h.opsDone.Load())
 		return
 	}
-	before := h.turn.Count()
+	// A rejected retarget must not touch the topology. Its generation is
+	// the exact witness: only this coordinator's events change it, while
+	// Count() moves with the writers' concurrent deletions (count
+	// conservation is checked at the barriers instead).
+	before := h.turn.Generation()
 	fresh := turnFactory(cfg.algo, cfg.retargetEps, cfg.bits, cfg.seed)
 	if err := h.turn.Retarget(fresh); err == nil {
 		h.fail("turnstile retarget to ε=%g was accepted; deletions make freezing unsound, it must be rejected", cfg.retargetEps)
 		return
 	}
-	if after := h.turn.Count(); after < before {
-		h.fail("rejected turnstile retarget lost data: count %d -> %d", before, after)
+	if after := h.turn.Generation(); after != before {
+		h.fail("rejected turnstile retarget changed the topology: generation %d -> %d", before, after)
 		return
 	}
 	h.retargets++

@@ -394,8 +394,12 @@ func (r *Random) Merge(other *Random) {
 
 	for r.fullCount() > r.h+1 {
 		r.mergeLowest()
-		r.compactSlots()
 	}
+	// Always drop the surplus slots other's buffers arrived in: a merge
+	// that needed no mergeLowest would otherwise leave more than h+1
+	// slots, and later updates would fill every one of them without
+	// ever merging — breaking the h+1 full-buffer bound.
+	r.compactSlots()
 }
 
 func (r *Random) finishPartial(b *buffer) {

@@ -46,19 +46,21 @@ const maxDecodedShards = 1 << 16
 
 // MarshalBinary implements encoding.BinaryMarshaler with a
 // GOMAXPROCS-wide worker pool.
-func (c *CashRegister) MarshalBinary() ([]byte, error) {
-	return c.MarshalBinaryWorkers(0)
+func (b *base[S]) MarshalBinary() ([]byte, error) {
+	return b.MarshalBinaryWorkers(0)
 }
 
 // MarshalBinaryWorkers is MarshalBinary with an explicit worker bound:
 // 0 (or anything ≥ GOMAXPROCS) uses GOMAXPROCS workers, 1 marshals
-// sequentially. The bytes are identical for every worker count.
-func (c *CashRegister) MarshalBinaryWorkers(workers int) ([]byte, error) {
-	c.topo.RLock()
-	defer c.topo.RUnlock()
-	g := c.gen.Load()
+// sequentially. The bytes are identical for every worker count. A
+// turnstile never freezes components, so its trailing component count
+// is always zero.
+func (b *base[S]) MarshalBinaryWorkers(workers int) ([]byte, error) {
+	b.topo.RLock()
+	defer b.topo.RUnlock()
+	g := b.gen.Load()
 	nShards := len(g.shards)
-	comps := c.ret.comps
+	comps := b.ret.comps
 	parts := nShards + len(comps)
 	blobs := make([][]byte, parts)
 	bufs := make([]*[]byte, parts)
@@ -66,8 +68,8 @@ func (c *CashRegister) MarshalBinaryWorkers(workers int) ([]byte, error) {
 		bufs[i] = core.EncodeBufPool.Get().(*[]byte)
 	}
 	defer func() {
-		for _, b := range bufs {
-			core.EncodeBufPool.Put(b)
+		for _, buf := range bufs {
+			core.EncodeBufPool.Put(buf)
 		}
 	}()
 	err := fanout(parts, workers, func(i int) error {
@@ -75,7 +77,7 @@ func (c *CashRegister) MarshalBinaryWorkers(workers int) ([]byte, error) {
 		var err error
 		if i < nShards {
 			sh := &g.shards[i]
-			done := c.ckptStart(i)
+			done := observe(&b.ckptObs, i)
 			sh.mu.Lock()
 			blob, err = marshalSummaryInto(sh.s, (*bufs[i])[:0])
 			sh.mu.Unlock()
@@ -129,16 +131,17 @@ func assembleSharded(genID uint64, nShards int, blobs [][]byte) []byte {
 // the container's entire state (topology generation, shards, frozen
 // components) with the decoded one, keeping the current factory and its
 // probed capabilities.
-func (c *CashRegister) UnmarshalBinary(data []byte) error {
-	return c.UnmarshalBinaryWorkers(data, 0)
+func (b *base[S]) UnmarshalBinary(data []byte) error {
+	return b.UnmarshalBinaryWorkers(data, 0)
 }
 
 // UnmarshalBinaryWorkers is UnmarshalBinary with an explicit worker
-// bound; see MarshalBinaryWorkers.
-func (c *CashRegister) UnmarshalBinaryWorkers(data []byte, workers int) error {
-	c.topo.Lock()
-	defer c.topo.Unlock()
-	cur := c.gen.Load()
+// bound; see MarshalBinaryWorkers. A turnstile blob carrying frozen
+// components is rejected as corrupt.
+func (b *base[S]) UnmarshalBinaryWorkers(data []byte, workers int) error {
+	b.topo.Lock()
+	defer b.topo.Unlock()
+	cur := b.gen.Load()
 	d := core.NewDecoder(data)
 	id, p, err := decodeShardedHeader(d)
 	if err != nil {
@@ -152,6 +155,12 @@ func (c *CashRegister) UnmarshalBinaryWorkers(data []byte, workers int) error {
 		}
 	}
 	nComps := d.U64()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if nComps != 0 && !b.freezes {
+		return core.Corruptf("sharded: turnstile encoding carries %d components", nComps)
+	}
 	if nComps > maxDecodedShards {
 		return core.Corruptf("sharded: component count %d implausible", nComps)
 	}
@@ -162,13 +171,10 @@ func (c *CashRegister) UnmarshalBinaryWorkers(data []byte, workers int) error {
 			return fmt.Errorf("sharded: decode component %d: %w", i, err)
 		}
 	}
-	if err := d.Err(); err != nil {
-		return err
-	}
 	if d.Remaining() != 0 {
 		return core.Corruptf("sharded: %d trailing bytes", d.Remaining())
 	}
-	next := &cashGen{id: id, shards: make([]cashShard, p), fresh: cur.fresh, caps: cur.caps, eps: cur.eps}
+	next := &gen[S]{id: id, shards: make([]shard[S], p), fresh: cur.fresh, caps: cur.caps, eps: cur.eps}
 	comps := make([]*retiredComp, len(compBlobs))
 	err = fanout(p+len(compBlobs), workers, func(i int) error {
 		s := cur.fresh()
@@ -192,110 +198,10 @@ func (c *CashRegister) UnmarshalBinaryWorkers(data []byte, workers int) error {
 	if err != nil {
 		return err
 	}
-	c.gen.Store(next)
-	c.ret.comps = comps
-	c.ret.ver.Add(1)
-	c.q.invalidate()
-	return nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler with a
-// GOMAXPROCS-wide worker pool.
-func (t *Turnstile) MarshalBinary() ([]byte, error) {
-	return t.MarshalBinaryWorkers(0)
-}
-
-// MarshalBinaryWorkers is MarshalBinary with an explicit worker bound;
-// see the CashRegister variant.
-func (t *Turnstile) MarshalBinaryWorkers(workers int) ([]byte, error) {
-	t.topo.RLock()
-	defer t.topo.RUnlock()
-	g := t.gen.Load()
-	nShards := len(g.shards)
-	blobs := make([][]byte, nShards)
-	bufs := make([]*[]byte, nShards)
-	for i := range bufs {
-		bufs[i] = core.EncodeBufPool.Get().(*[]byte)
-	}
-	defer func() {
-		for _, b := range bufs {
-			core.EncodeBufPool.Put(b)
-		}
-	}()
-	err := fanout(nShards, workers, func(i int) error {
-		sh := &g.shards[i]
-		done := t.ckptStart(i)
-		sh.mu.Lock()
-		blob, err := marshalSummaryInto(sh.s, (*bufs[i])[:0])
-		sh.mu.Unlock()
-		done()
-		if err != nil {
-			return fmt.Errorf("sharded: marshal shard %d: %w", i, err)
-		}
-		*bufs[i] = blob
-		blobs[i] = blob
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Turnstile containers never freeze components, so the trailing
-	// component count is always zero.
-	return assembleSharded(g.id, nShards, blobs), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (t *Turnstile) UnmarshalBinary(data []byte) error {
-	return t.UnmarshalBinaryWorkers(data, 0)
-}
-
-// UnmarshalBinaryWorkers is UnmarshalBinary with an explicit worker
-// bound; see the CashRegister variant.
-func (t *Turnstile) UnmarshalBinaryWorkers(data []byte, workers int) error {
-	t.topo.Lock()
-	defer t.topo.Unlock()
-	cur := t.gen.Load()
-	d := core.NewDecoder(data)
-	id, p, err := decodeShardedHeader(d)
-	if err != nil {
-		return err
-	}
-	if p > maxDecodedShards {
-		return core.Corruptf("sharded: shard count %d implausible", p)
-	}
-	shardBlobs := make([][]byte, p)
-	for i := range shardBlobs {
-		shardBlobs[i] = d.Blob()
-		if err := d.Err(); err != nil {
-			return fmt.Errorf("sharded: decode shard %d: %w", i, err)
-		}
-	}
-	if n := d.U64(); n != 0 && d.Err() == nil {
-		return core.Corruptf("sharded: turnstile encoding carries %d components", n)
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if d.Remaining() != 0 {
-		return core.Corruptf("sharded: %d trailing bytes", d.Remaining())
-	}
-	next := &turnGen{id: id, shards: make([]turnShard, p), fresh: cur.fresh, caps: cur.caps, eps: cur.eps}
-	err = fanout(p, workers, func(i int) error {
-		s := cur.fresh()
-		if err := unmarshalSummary(s, shardBlobs[i]); err != nil {
-			return fmt.Errorf("sharded: decode shard %d: %w", i, err)
-		}
-		sh := &next.shards[i]
-		sh.mu.Lock()
-		sh.s = s
-		sh.mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	t.gen.Store(next)
-	t.q.invalidate()
+	b.gen.Store(next)
+	b.ret.comps = comps
+	b.ret.ver.Add(1)
+	b.q.invalidate()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package sharded
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -79,11 +80,7 @@ func (c *retiredComp) spaceBytes() int64 {
 func (c *retiredComp) invariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ic, ok := c.s.(invariantChecker)
-	if !ok {
-		return nil
-	}
-	return ic.Invariants()
+	return checkInvariants(c.s)
 }
 
 // retiredSet collects a container's frozen components. comps is only
@@ -141,77 +138,85 @@ func (r *retiredSet) invariants() error {
 	return nil
 }
 
-// A DrainObserver brackets each per-shard drain performed by an elastic
-// operation (Reshard, Retarget): it is called with the retiring shard's
-// index when the drain starts and the returned func when it completes.
-// The containers never time anything themselves — a harness that wants
-// stall telemetry supplies the clock (cmd/quantstress records drain
-// durations this way and asserts a bound in its soak report). The
-// observer runs under the topology write lock, so it must not call back
-// into the container.
+// A DrainObserver brackets one per-shard stall window: it is called
+// with the shard's index when the window opens and the returned func
+// when it closes. The containers never read the clock themselves — a
+// harness that wants stall telemetry supplies it by closing over one
+// (cmd/quantstress records drain and checkpoint-marshal durations this
+// way and asserts bounds in its soak report). Installed with
+// SetDrainObserver, it brackets each retired shard's drain during an
+// elastic operation (Reshard, Retarget); it then runs under the
+// topology write lock, so it must not call back into the container.
 type DrainObserver func(shard int) (done func())
+
+// A CheckpointObserver is the same bracket installed with
+// SetCheckpointObserver: it is called just before a live shard's lock is
+// taken for its marshal during a checkpoint save, and done just after
+// the lock is released — the window a writer routed to that shard can
+// stall for.
+type CheckpointObserver = DrainObserver
 
 // SetDrainObserver installs obs (nil removes it). Safe to call
 // concurrently with elastic operations: the pointer is swapped
 // atomically and each drain loads it once per shard.
-func (c *CashRegister) SetDrainObserver(obs DrainObserver) {
+func (b *base[S]) SetDrainObserver(obs DrainObserver) { setObserver(&b.drainObs, obs) }
+
+// SetCheckpointObserver installs obs (nil removes it). Safe to call
+// concurrently with saves; a save in flight may complete with the
+// previous observer.
+func (b *base[S]) SetCheckpointObserver(obs CheckpointObserver) { setObserver(&b.ckptObs, obs) }
+
+func setObserver(p *atomic.Pointer[DrainObserver], obs DrainObserver) {
 	if obs == nil {
-		c.drainObs.Store(nil)
+		p.Store(nil)
 		return
 	}
-	c.drainObs.Store(&obs)
+	p.Store(&obs)
 }
 
-// SetDrainObserver installs obs (nil removes it); see the CashRegister
-// counterpart.
-func (t *Turnstile) SetDrainObserver(obs DrainObserver) {
-	if obs == nil {
-		t.drainObs.Store(nil)
-		return
-	}
-	t.drainObs.Store(&obs)
-}
-
-func (c *CashRegister) drainStart(i int) func() {
-	if p := c.drainObs.Load(); p != nil {
-		if done := (*p)(i); done != nil {
+// observe opens shard i's window on the observer in p, if any, and
+// returns the func that closes it.
+func observe(p *atomic.Pointer[DrainObserver], i int) func() {
+	if obs := p.Load(); obs != nil {
+		if done := (*obs)(i); done != nil {
 			return done
 		}
 	}
 	return func() {}
 }
 
-func (t *Turnstile) drainStart(i int) func() {
-	if p := t.drainObs.Load(); p != nil {
-		if done := (*p)(i); done != nil {
-			return done
+// drain publishes next, then empties every shard of old into it: shard
+// i is retired (writers caught on it re-route to next) and its summary
+// folded into next's shard i mod P under that shard's lock, inside the
+// drain observer's bracket — so ingestion stalls at most for one
+// shard's drain. An empty insert-only summary holds nothing and is
+// skipped (under deletions a zero count does not mean empty: after a
+// reshard one shard's net count may cancel another's). A summary fold
+// refuses is frozen as a rank component when the model allows it;
+// otherwise drain carries on with the other shards and reports the
+// first refusal.
+func (b *base[S]) drain(old, next *gen[S], fold func(dst, s S) error) error {
+	b.gen.Store(next)
+	var first error
+	for i := range old.shards {
+		done := observe(&b.drainObs, i)
+		if s := old.shards[i].retire(); !b.freezes || s.Count() > 0 {
+			dst := &next.shards[i%len(next.shards)]
+			dst.mu.Lock()
+			dst.epoch.Add(1)
+			err := fold(dst.s, s)
+			dst.mu.Unlock()
+			switch {
+			case err == nil:
+			case b.freezes:
+				b.ret.add(newRetiredComp(s))
+			case first == nil:
+				first = fmt.Errorf("sharded: drain shard %d: %w", i, err)
+			}
 		}
+		done()
 	}
-	return func() {}
-}
-
-// retireCashShard marks the shard retired under its own mutex and takes
-// its summary; a writer blocked on the mutex wakes to the flag and
-// re-routes.
-func retireCashShard(sh *cashShard) core.CashRegister {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.s
-	sh.retired = true
-	sh.s = nil
-	sh.epoch.Add(1)
-	return s
-}
-
-// retireTurnShard is the turnstile counterpart of retireCashShard.
-func retireTurnShard(sh *turnShard) core.Turnstile {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.s
-	sh.retired = true
-	sh.s = nil
-	sh.epoch.Add(1)
-	return s
+	return first
 }
 
 // finerThan reports whether tgt's error budget is strictly tighter than
@@ -242,6 +247,52 @@ func absorb(tgt, old core.Summary) bool {
 	return false
 }
 
+// mergeFold is drain's fold for Reshard, which only merges: the
+// factory probed mergeable, so a failure means a misbehaving factory.
+func mergeFold[S core.Summary](dst, s S) error {
+	m, ok := any(dst).(core.Mergeable)
+	if !ok {
+		return errNotMergeable
+	}
+	return m.MergeSummary(s)
+}
+
+// absorbFold is drain's fold for Retarget (see absorb).
+func absorbFold[S core.Summary](dst, s S) error {
+	if !absorb(dst, s) {
+		return errRefused
+	}
+	return nil
+}
+
+var (
+	errNotMergeable = errors.New("summary is not mergeable")
+	errRefused      = errors.New("no merge or retarget-merge path preserves both budgets")
+)
+
+// Components returns the number of frozen retired components currently
+// contributing to queries by additive rank (always 0 for a turnstile).
+func (b *base[S]) Components() int {
+	b.topo.RLock()
+	defer b.topo.RUnlock()
+	return len(b.ret.comps)
+}
+
+// EpsBudget reports the composed error budget: the max over the live
+// factory's ε and every frozen component's ε (0 when the family does
+// not report one). Rank-combined queries err by at most
+// 2·EpsBudget()·n + Shards() + Components(); merged folds by at most
+// EpsBudget()·n.
+func (b *base[S]) EpsBudget() float64 {
+	b.topo.RLock()
+	defer b.topo.RUnlock()
+	eps := b.gen.Load().eps
+	for _, comp := range b.ret.comps {
+		eps = math.Max(eps, comp.eps)
+	}
+	return eps
+}
+
 // ------------------------------------------------------- cash register
 
 // Reshard grows or shrinks the shard count to p without stopping
@@ -261,7 +312,9 @@ func (c *CashRegister) Reshard(p int) error {
 		return nil
 	}
 	if old.caps.mergeable {
-		c.reshardByMerge(old, p)
+		// A cash-register drain never fails: what the merge refuses
+		// (only a misbehaving factory's summaries) is frozen, not lost.
+		_ = c.drain(old, newGen(old.id+1, p, old.fresh, old.caps), mergeFold)
 	} else {
 		c.reshardByAdoption(old, p)
 	}
@@ -269,45 +322,18 @@ func (c *CashRegister) Reshard(p int) error {
 	return nil
 }
 
-// reshardByMerge publishes a fresh successor first (writers re-route
-// immediately), then drains each retired shard into a successor shard.
-func (c *CashRegister) reshardByMerge(old *cashGen, p int) {
-	next := newCashGen(old.id+1, p, old.fresh, old.caps)
-	c.gen.Store(next)
-	for i := range old.shards {
-		done := c.drainStart(i)
-		s := retireCashShard(&old.shards[i])
-		if s.Count() > 0 {
-			dst := &next.shards[i%p]
-			dst.mu.Lock()
-			dst.epoch.Add(1)
-			err := dst.s.(core.Mergeable).MergeSummary(s)
-			dst.mu.Unlock()
-			if err != nil {
-				// The factory probed mergeable, so this cannot happen unless
-				// the factory misbehaves; freeze rather than lose the data.
-				c.ret.add(newRetiredComp(s))
-			}
-		}
-		done()
-	}
-}
-
 // reshardByAdoption moves the first min(P_old, p) summaries into the
 // successor unchanged and freezes the surplus. The successor is built
 // before it is published, so writers spin (seeing retired flags under
 // the old generation) only for the duration of the pointer moves.
-func (c *CashRegister) reshardByAdoption(old *cashGen, p int) {
-	next := &cashGen{id: old.id + 1, shards: make([]cashShard, p), fresh: old.fresh, caps: old.caps, eps: old.eps}
-	keep := len(old.shards)
-	if p < keep {
-		keep = p
-	}
+func (c *CashRegister) reshardByAdoption(old *gen[core.CashRegister], p int) {
+	next := &gen[core.CashRegister]{id: old.id + 1, shards: make([]shard[core.CashRegister], p), fresh: old.fresh, caps: old.caps, eps: old.eps}
+	keep := min(len(old.shards), p)
 	for i := 0; i < keep; i++ {
-		done := c.drainStart(i)
+		done := observe(&c.drainObs, i)
 		sh := &next.shards[i]
 		sh.mu.Lock()
-		sh.s = retireCashShard(&old.shards[i])
+		sh.s = old.shards[i].retire()
 		sh.mu.Unlock()
 		done()
 	}
@@ -318,8 +344,8 @@ func (c *CashRegister) reshardByAdoption(old *cashGen, p int) {
 		sh.mu.Unlock()
 	}
 	for i := keep; i < len(old.shards); i++ {
-		done := c.drainStart(i)
-		if s := retireCashShard(&old.shards[i]); s.Count() > 0 {
+		done := observe(&c.drainObs, i)
+		if s := old.shards[i].retire(); s.Count() > 0 {
 			c.ret.add(newRetiredComp(s))
 		}
 		done()
@@ -337,49 +363,10 @@ func (c *CashRegister) Retarget(fresh func() core.CashRegister) error {
 	c.topo.Lock()
 	defer c.topo.Unlock()
 	old := c.gen.Load()
-	caps := probeCaps(func() core.Summary { return fresh() })
-	next := newCashGen(old.id+1, len(old.shards), fresh, caps)
-	c.gen.Store(next)
-	for i := range old.shards {
-		done := c.drainStart(i)
-		s := retireCashShard(&old.shards[i])
-		if s.Count() > 0 {
-			dst := &next.shards[i]
-			dst.mu.Lock()
-			dst.epoch.Add(1)
-			absorbed := absorb(dst.s, s)
-			dst.mu.Unlock()
-			if !absorbed {
-				c.ret.add(newRetiredComp(s))
-			}
-		}
-		done()
-	}
+	// A cash-register drain never fails: what absorb refuses is frozen.
+	_ = c.drain(old, newGen(old.id+1, len(old.shards), fresh, probeFactory(fresh)), absorbFold)
 	c.q.invalidate()
 	return nil
-}
-
-// Components returns the number of frozen retired components currently
-// contributing to queries by additive rank.
-func (c *CashRegister) Components() int {
-	c.topo.RLock()
-	defer c.topo.RUnlock()
-	return len(c.ret.comps)
-}
-
-// EpsBudget reports the composed error budget: the max over the live
-// factory's ε and every frozen component's ε (0 when the family does
-// not report one). Rank-combined queries err by at most
-// 2·EpsBudget()·n + Shards() + Components(); merged folds by at most
-// EpsBudget()·n.
-func (c *CashRegister) EpsBudget() float64 {
-	c.topo.RLock()
-	defer c.topo.RUnlock()
-	eps := c.gen.Load().eps
-	for _, comp := range c.ret.comps {
-		eps = math.Max(eps, comp.eps)
-	}
-	return eps
 }
 
 // ------------------------------------------------------------ turnstile
@@ -403,24 +390,8 @@ func (t *Turnstile) Reshard(p int) error {
 	if !old.caps.mergeable {
 		return fmt.Errorf("sharded: cannot reshard a non-mergeable turnstile family: re-routed deletions must cancel against re-merged insertions")
 	}
-	next := newTurnGen(old.id+1, p, old.fresh, old.caps)
-	t.gen.Store(next)
-	for i := range old.shards {
-		done := t.drainStart(i)
-		s := retireTurnShard(&old.shards[i])
-		dst := &next.shards[i%p]
-		dst.mu.Lock()
-		dst.epoch.Add(1)
-		err := dst.s.(core.Mergeable).MergeSummary(s)
-		dst.mu.Unlock()
-		done()
-		if err != nil {
-			t.q.invalidate()
-			return fmt.Errorf("sharded: reshard drain merge: %w", err)
-		}
-	}
-	t.q.invalidate()
-	return nil
+	defer t.q.invalidate()
+	return t.drain(old, newGen(old.id+1, p, old.fresh, old.caps), mergeFold)
 }
 
 // Retarget migrates the turnstile container to a new factory. Freezing
@@ -435,31 +406,6 @@ func (t *Turnstile) Retarget(fresh func() core.Turnstile) error {
 	if !absorb(fresh(), old.fresh()) {
 		return fmt.Errorf("sharded: turnstile retarget: the new configuration cannot absorb the old (no merge or retarget-merge path), and deletions rule out freezing")
 	}
-	caps := probeCaps(func() core.Summary { return fresh() })
-	next := newTurnGen(old.id+1, len(old.shards), fresh, caps)
-	t.gen.Store(next)
-	for i := range old.shards {
-		done := t.drainStart(i)
-		s := retireTurnShard(&old.shards[i])
-		dst := &next.shards[i]
-		dst.mu.Lock()
-		dst.epoch.Add(1)
-		ok := absorb(dst.s, s)
-		dst.mu.Unlock()
-		done()
-		if !ok {
-			t.q.invalidate()
-			return fmt.Errorf("sharded: turnstile retarget: shard %d absorb failed after a successful probe", i)
-		}
-	}
-	t.q.invalidate()
-	return nil
+	defer t.q.invalidate()
+	return t.drain(old, newGen(old.id+1, len(old.shards), fresh, probeFactory(fresh)), absorbFold)
 }
-
-// Components returns 0: turnstile containers never freeze components.
-func (t *Turnstile) Components() int { return 0 }
-
-// EpsBudget reports the live factory's ε (0 when the family does not
-// report one); turnstile drains are exact merges, so no wider budget
-// ever accumulates.
-func (t *Turnstile) EpsBudget() float64 { return t.gen.Load().eps }

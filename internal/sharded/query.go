@@ -1,8 +1,7 @@
 package sharded
 
 import (
-	"fmt"
-	"runtime"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -27,11 +26,12 @@ import (
 //     lock-free and reuses the artifact when nothing changed — repeated
 //     queries on a quiet sharded summary never fold anything and never
 //     touch the topology lock.
-//   - A rebuild folds the shards by a parallel tree-merge: one worker
-//     per shard merges that shard into its own fresh summary (holding
-//     only that shard's lock), then the P partials reduce pairwise in
-//     ⌈log₂P⌉ parallel rounds. Rebuilds run under the topology read
-//     lock, so a fold never observes a half-drained reshard.
+//   - A rebuild folds the shards by a parallel tree-merge on the
+//     package's one worker pool (fanout): one task per shard merges
+//     that shard into its own fresh summary (holding only that shard's
+//     lock), then the P partials reduce pairwise in ⌈log₂P⌉ parallel
+//     rounds. Rebuilds run under the topology read lock, so a fold
+//     never observes a half-drained reshard.
 //
 // Accuracy of the non-mergeable (GK) combination, via cached exact
 // per-shard snapshots: the summed estimate R̂(x) = Σᵢ R̂ᵢ(x) differs
@@ -93,7 +93,7 @@ type shardSet interface {
 }
 
 // genSet is a shardSet that knows its generation identity and fold
-// capabilities — implemented by cashGen and turnGen.
+// capabilities — implemented by gen[S].
 type genSet interface {
 	shardSet
 	genID() uint64
@@ -211,27 +211,25 @@ func mergedFold(g shardSet) (core.Summary, []uint64, error) {
 	p := g.numShards()
 	epochs := make([]uint64, p)
 	parts := make([]core.Summary, p)
-	var failed atomic.Bool
-	forShards(p, func(i int) {
+	err := fanout(p, 0, func(i int) error {
 		m := g.freshSummary()
 		mg, ok := m.(core.Mergeable)
 		if !ok {
-			failed.Store(true)
-			return
+			return errFoldMerge
 		}
 		var err error
 		epochs[i] = g.withShard(i, func(s core.Summary) { err = mg.MergeSummary(s) })
-		if err != nil {
-			failed.Store(true)
-			return
-		}
 		parts[i] = m
+		return err
 	})
-	if failed.Load() || !mergeTree(parts) {
-		return nil, nil, fmt.Errorf("sharded: shard fold merge failed")
+	if err != nil || mergeTree(parts) != nil {
+		return nil, nil, errFoldMerge
 	}
 	return parts[0], epochs, nil
 }
+
+// errFoldMerge reports a shard fold that could not merge.
+var errFoldMerge = errors.New("sharded: shard fold merge failed")
 
 // rebuildCombined folds all shards into one merged summary; nil when
 // any merge fails.
@@ -250,24 +248,21 @@ func rebuildCombined(g shardSet) *combinedEntry {
 
 // mergeTree pairwise-reduces parts into parts[0]: round r merges
 // partials 2ʳ apart, every pair in parallel.
-func mergeTree(parts []core.Summary) bool {
-	var failed atomic.Bool
+func mergeTree(parts []core.Summary) error {
 	for stride := 1; stride < len(parts); stride *= 2 {
 		var dsts []int
 		for i := 0; i+stride < len(parts); i += 2 * stride {
 			dsts = append(dsts, i)
 		}
-		forShards(len(dsts), func(j int) {
+		err := fanout(len(dsts), 0, func(j int) error {
 			i := dsts[j]
-			if parts[i].(core.Mergeable).MergeSummary(parts[i+stride]) != nil {
-				failed.Store(true)
-			}
+			return parts[i].(core.Mergeable).MergeSummary(parts[i+stride])
 		})
-		if failed.Load() {
-			return false
+		if err != nil {
+			return err
 		}
 	}
-	return true
+	return nil
 }
 
 // rebuildSnaps flattens every shard into an exact snapshot, in
@@ -276,19 +271,21 @@ func rebuildSnaps(g shardSet) *combinedEntry {
 	p := g.numShards()
 	e := &combinedEntry{epochs: make([]uint64, p), snaps: make([]*core.QuerySnapshot, p)}
 	ns := make([]int64, p)
-	var failed atomic.Bool
-	forShards(p, func(i int) {
+	err := fanout(p, 0, func(i int) error {
+		ok := false
 		e.epochs[i] = g.withShard(i, func(s core.Summary) {
-			ss, ok := s.(core.Snapshotter)
-			if !ok {
-				failed.Store(true)
-				return
+			var ss core.Snapshotter
+			if ss, ok = s.(core.Snapshotter); ok {
+				ns[i] = s.Count()
+				e.snaps[i] = core.BuildQuerySnapshot(ss)
 			}
-			ns[i] = s.Count()
-			e.snaps[i] = core.BuildQuerySnapshot(ss)
 		})
+		if !ok {
+			return errNoSnapshot
+		}
+		return nil
 	})
-	if failed.Load() {
+	if err != nil {
 		return nil
 	}
 	for _, n := range ns {
@@ -296,6 +293,9 @@ func rebuildSnaps(g shardSet) *combinedEntry {
 	}
 	return e
 }
+
+// errNoSnapshot reports a shard without an exact flattening.
+var errNoSnapshot = errors.New("sharded: shard has no exact snapshot")
 
 // baseRank answers a combined rank query from the live-shard artifact.
 func (e *combinedEntry) baseRank(x uint64) int64 {
@@ -484,38 +484,3 @@ type descentScratch struct {
 }
 
 var descentPool = sync.Pool{New: func() any { return new(descentScratch) }}
-
-// forShards runs fn(0 … p−1) on a worker pool bounded by the machine
-// size; the calling goroutine participates.
-func forShards(p int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > p {
-		workers = p
-	}
-	if workers <= 1 {
-		for i := 0; i < p; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= p {
-				return
-			}
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-}

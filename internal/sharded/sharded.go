@@ -30,6 +30,10 @@
 // lock-free across queries until some shard is written again — see
 // query.go.
 //
+// Both containers embed one generic core, base[S] (base.go), holding
+// everything that does not depend on the stream model; CashRegister and
+// Turnstile add only routing, their elastic policies and Invariants.
+//
 // # Elasticity
 //
 // The shard topology is no longer fixed at construction: Reshard
@@ -49,22 +53,10 @@
 package sharded
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"streamquantiles/internal/core"
 )
-
-// checkShards validates a shard count, shared by constructors and
-// Reshard.
-func checkShards(p int) error {
-	if p < 1 {
-		return fmt.Errorf("sharded: shard count %d < 1", p)
-	}
-	return nil
-}
 
 // mix is the SplitMix64 finalizer: a bijective mix that spreads
 // value-affinity routing evenly across shards even for clustered keys.
@@ -74,90 +66,11 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// invariantChecker is implemented by every registered summary (the
-// quantlint SQ005 contract); shards that provide it are deep-checked by
-// Invariants.
-type invariantChecker interface{ Invariants() error }
-
-// cacheLine is the placement granularity for hot shared state: 128
-// bytes — two 64-byte lines — so the spatial prefetcher's paired line
-// loads cannot re-introduce false sharing between neighbours either.
-// Shard structs living in a generation's []cashShard/[]turnShard pad to
-// a multiple of it (the SQ014 lint holds the discipline, a Sizeof test
-// pins the arithmetic): without the padding, shard i's lock word and
-// shard i+1's summary header share a line, and P writers on P cores
-// ping that line between caches on every update even though they never
-// touch each other's shard.
-const cacheLine = 128
-
-// ---------------------------------------------------------------- cash
-
-// cashShard pads each summary's lock onto its own state; shards are
-// only ever touched under their own mutex. epoch counts writes: bumped
-// under mu before every mutation, loadable without it (see query.go).
-type cashShard struct {
-	mu      sync.Mutex
-	s       core.CashRegister // guarded by mu
-	retired bool              // guarded by mu
-	epoch   atomic.Uint64
-	// The live fields above occupy 40 bytes on 64-bit; the blank tail
-	// rounds the struct up to cacheLine so adjacent shards in the
-	// generation slice never share a line (TestShardStructsPadded).
-	_ [cacheLine - 40]byte
-}
-
-// cashGen is one immutable shard topology: the shard array, the factory
-// that populated it, and the factory's probed fold capabilities. A
-// generation's fields never change after publication; elastic
-// operations build a successor and swap the container's pointer.
-type cashGen struct {
-	id     uint64
-	shards []cashShard
-	fresh  func() core.CashRegister
-	caps   foldCaps
-	eps    float64 // factory's reported error budget; 0 when unknown
-}
-
-func newCashGen(id uint64, p int, fresh func() core.CashRegister, caps foldCaps) *cashGen {
-	g := &cashGen{id: id, shards: make([]cashShard, p), fresh: fresh, caps: caps}
-	for i := range g.shards {
-		g.shards[i].s = fresh()
-	}
-	if er, ok := g.shards[0].s.(epsReporter); ok {
-		g.eps = er.Eps()
-	}
-	return g
-}
-
-// genSet implementation (see query.go).
-func (g *cashGen) numShards() int          { return len(g.shards) }
-func (g *cashGen) shardEpoch(i int) uint64 { return g.shards[i].epoch.Load() }
-func (g *cashGen) freshSummary() core.Summary {
-	return g.fresh()
-}
-func (g *cashGen) genID() uint64          { return g.id }
-func (g *cashGen) capabilities() foldCaps { return g.caps }
-
-func (g *cashGen) withShard(i int, fn func(s core.Summary)) uint64 {
-	sh := &g.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fn(sh.s)
-	return sh.epoch.Load()
-}
-
 // CashRegister partitions an insert-only stream across P per-shard
 // summaries produced by a factory. All methods are safe for concurrent
 // use, including the elastic operations in elastic.go.
 type CashRegister struct {
-	// topo is the topology lock: queries that need a stable shard set
-	// (fold rebuilds, aggregates, the codec) hold it shared; Reshard,
-	// Retarget and UnmarshalBinary hold it exclusively. Writers never
-	// touch it — they re-route on the retired flag instead.
-	topo sync.RWMutex
-	gen  atomic.Pointer[cashGen]
-	ret  retiredSet
-	q    queryCache
+	base[core.CashRegister]
 
 	// rr is the round-robin routing cursor of the handle-less write
 	// path (Update/UpdateBatch with no Writer). It is the one piece of
@@ -174,76 +87,25 @@ type CashRegister struct {
 	// wslot hands out writer-handle affinity slots; bumped once per
 	// AcquireWriter, never on the per-element path.
 	wslot atomic.Uint64
-
-	// drainObs, when set, brackets each retired shard's drain during an
-	// elastic operation (see SetDrainObserver).
-	drainObs atomic.Pointer[DrainObserver]
-
-	// ckptObs, when set, brackets each live shard's marshal during a
-	// checkpoint save (see SetCheckpointObserver).
-	ckptObs atomic.Pointer[CheckpointObserver]
 }
 
 // NewCashRegister builds a P-way sharded summary; fresh must return a
 // new empty summary per call, all identically configured. An invalid
 // shard count surfaces as an error, not a panic.
 func NewCashRegister(p int, fresh func() core.CashRegister) (*CashRegister, error) {
-	if err := checkShards(p); err != nil {
+	c := &CashRegister{}
+	if err := c.init(p, fresh, true); err != nil {
 		return nil, err
 	}
-	c := &CashRegister{}
-	caps := probeCaps(func() core.Summary { return fresh() })
-	c.gen.Store(newCashGen(0, p, fresh, caps))
 	return c, nil
 }
 
-// Shards returns the current shard count P.
-func (c *CashRegister) Shards() int { return len(c.gen.Load().shards) }
-
-// Generation returns the topology generation: 0 at construction,
-// bumped by every Reshard/Retarget/decode.
-func (c *CashRegister) Generation() uint64 { return c.gen.Load().id }
-
-// Mergeable reports whether queries fold the shards into one merged
-// summary (the family merges and the factory's instances are
-// merge-compatible), probed once per factory.
-func (c *CashRegister) Mergeable() bool { return c.gen.Load().caps.mergeable }
-
-// elasticSet implementation (see query.go).
-func (c *CashRegister) currentGen() genSet           { return c.gen.Load() }
-func (c *CashRegister) retiredVer() uint64           { return c.ret.ver.Load() }
-func (c *CashRegister) retiredComps() []*retiredComp { return c.ret.comps }
-
-// topoRLock takes the topology read lock and hands the caller the
-// matching unlock — the fold rebuild in query.go holds it for the
-// duration of the rebuild via `defer set.topoRLock()()`.
-//
-// locks topo
-func (c *CashRegister) topoRLock() func() {
-	c.topo.RLock()
-	return c.topo.RUnlock
-}
-
 // Update implements core.CashRegister: the element lands on the next
-// shard in round-robin order. A shard caught mid-retire re-routes
-// against the successor generation, so the retry loop runs at most for
-// the duration of one topology swap.
+// shard in round-robin order.
 func (c *CashRegister) Update(x uint64) {
-	i := c.rr.Add(1) - 1
-	for {
-		g := c.gen.Load()
-		sh := &g.shards[i%uint64(len(g.shards))]
-		sh.mu.Lock()
-		if sh.retired {
-			sh.mu.Unlock()
-			runtime.Gosched()
-			continue
-		}
-		sh.epoch.Add(1)
-		sh.s.Update(x)
-		sh.mu.Unlock()
-		return
-	}
+	sh := c.lockLive(c.rr.Add(1) - 1)
+	sh.s.Update(x)
+	sh.mu.Unlock()
 }
 
 // UpdateBatch implements core.BatchCashRegister: the whole batch lands
@@ -268,149 +130,13 @@ func (c *CashRegister) UpdateBatchAffinity(key uint64, xs []uint64) {
 
 // deliver lands one batch on the shard owning slot in the live
 // generation, under a single lock acquisition and through the shard's
-// native batch path. A shard caught mid-retire re-routes against the
-// successor generation — the slice is applied exactly once, on a live
-// shard, so count conservation across a reshard is structural. The
-// batch is consumed before deliver returns (summaries copy what they
-// keep), so callers may reuse the backing array — writer handles do.
+// native batch path (see lockLive for the re-routing). The batch is
+// consumed before deliver returns (summaries copy what they keep), so
+// callers may reuse the backing array — writer handles do.
 func (c *CashRegister) deliver(slot uint64, xs []uint64) {
-	for {
-		g := c.gen.Load()
-		sh := &g.shards[slot%uint64(len(g.shards))]
-		sh.mu.Lock()
-		if sh.retired {
-			sh.mu.Unlock()
-			runtime.Gosched()
-			continue
-		}
-		sh.epoch.Add(1)
-		core.UpdateBatch(sh.s, xs)
-		sh.mu.Unlock()
-		return
-	}
-}
-
-// Count implements core.Summary: live shards plus frozen components.
-func (c *CashRegister) Count() int64 {
-	c.topo.RLock()
-	defer c.topo.RUnlock()
-	return c.countLocked()
-}
-
-// countLocked sums the shard and component counts; the caller holds the
-// topology read lock.
-func (c *CashRegister) countLocked() int64 {
-	g := c.gen.Load()
-	var n int64
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		n += sh.s.Count()
-		sh.mu.Unlock()
-	}
-	return n + c.ret.count()
-}
-
-// Rank implements core.Summary. Mergeable families answer from the
-// (cached) merged summary — for the linear sketches, exactly the
-// unsharded estimate. Otherwise ranks are additive across a partition:
-// the estimate is the sum of per-shard estimates and its error the sum
-// of per-shard estimate errors — for the GK family, whose midpoint
-// estimator is uncertain by up to the ⌊2εᵢnᵢ⌋ capacity of the gap a
-// probe falls into plus its −1 bias, Σᵢ(2εᵢnᵢ+1) ≤ 2εn + parts, where
-// parts counts live shards plus frozen components (Components).
-func (c *CashRegister) Rank(x uint64) int64 {
-	if e := c.q.entry(c); e != nil {
-		return e.rank(x)
-	}
-	c.topo.RLock()
-	defer c.topo.RUnlock()
-	return c.summedRankLocked(x)
-}
-
-// RankBatch implements core.QuantileBatcher.
-func (c *CashRegister) RankBatch(xs []uint64) []int64 {
-	if e := c.q.entry(c); e != nil {
-		return e.rankBatch(xs)
-	}
-	c.topo.RLock()
-	defer c.topo.RUnlock()
-	return c.summedRankBatchLocked(xs)
-}
-
-// summedRankLocked is the additive estimate over the live shards and
-// frozen components; the caller holds the topology read lock.
-func (c *CashRegister) summedRankLocked(x uint64) int64 {
-	g := c.gen.Load()
-	var r int64
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		r += sh.s.Rank(x)
-		sh.mu.Unlock()
-	}
-	return r + c.ret.rank(x)
-}
-
-// summedRankBatchLocked is the batch form of summedRankLocked: one lock
-// acquisition and one native RankBatch sweep per shard for the whole
-// probe set.
-func (c *CashRegister) summedRankBatchLocked(xs []uint64) []int64 {
-	g := c.gen.Load()
-	out := make([]int64, len(xs))
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		rs := core.RankBatch(sh.s, xs)
-		sh.mu.Unlock()
-		for j, r := range rs {
-			out[j] += r
-		}
-	}
-	c.ret.addRanks(out, xs)
-	return out
-}
-
-// Quantile implements core.Summary within the composed ε bound.
-func (c *CashRegister) Quantile(phi float64) uint64 {
-	core.CheckPhi(phi)
-	if e := c.q.entry(c); e != nil {
-		return e.quantile(phi)
-	}
-	c.topo.RLock()
-	defer c.topo.RUnlock()
-	return rankQuantile(c.countLocked(), c.summedRankLocked, phi)
-}
-
-// QuantileBatch implements core.QuantileBatcher: one cached fold (or
-// one lockstep rank-descent over all fractions) answers the whole
-// batch.
-func (c *CashRegister) QuantileBatch(phis []float64) []uint64 {
-	for _, phi := range phis {
-		core.CheckPhi(phi)
-	}
-	if e := c.q.entry(c); e != nil {
-		return e.quantileBatch(phis)
-	}
-	c.topo.RLock()
-	defer c.topo.RUnlock()
-	return rankQuantileBatch(c.countLocked(), c.summedRankBatchLocked, phis)
-}
-
-// SpaceBytes implements core.Summary: the sum over shards and frozen
-// components.
-func (c *CashRegister) SpaceBytes() int64 {
-	c.topo.RLock()
-	defer c.topo.RUnlock()
-	g := c.gen.Load()
-	var b int64
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		b += sh.s.SpaceBytes()
-		sh.mu.Unlock()
-	}
-	return b + c.ret.spaceBytes()
+	sh := c.lockLive(slot)
+	core.UpdateBatch(sh.s, xs)
+	sh.mu.Unlock()
 }
 
 // Invariants implements the sanitizer contract by deep-checking every
@@ -418,26 +144,8 @@ func (c *CashRegister) SpaceBytes() int64 {
 func (c *CashRegister) Invariants() error {
 	c.topo.RLock()
 	defer c.topo.RUnlock()
-	g := c.gen.Load()
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		err := checkShardInvariants(i, sh.s)
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
+	if err := shardInvariantsLocked(c.gen.Load()); err != nil {
+		return err
 	}
 	return c.ret.invariants()
-}
-
-func checkShardInvariants(i int, s any) error {
-	ic, ok := s.(invariantChecker)
-	if !ok {
-		return nil
-	}
-	if err := ic.Invariants(); err != nil {
-		return fmt.Errorf("sharded: shard %d: %w", i, err)
-	}
-	return nil
 }

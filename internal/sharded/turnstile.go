@@ -4,22 +4,14 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"streamquantiles/internal/core"
 )
 
-// turnShard is the turnstile counterpart of cashShard, padded to the
-// same cacheLine multiple so adjacent shards never false-share.
-type turnShard struct {
-	mu      sync.Mutex
-	s       core.Turnstile // guarded by mu
-	retired bool           // guarded by mu
-	epoch   atomic.Uint64
-	_       [cacheLine - 40]byte
-}
-
-// turnGen is one immutable turnstile shard topology (see cashGen).
+// Turnstile partitions a strict-turnstile stream across P per-shard
+// summaries. Routing is by value affinity — mix(x) mod P — so an
+// element's deletions always reach the shard that saw its insertions.
+// All methods are safe for concurrent use, including Reshard/Retarget.
 //
 // Generation 0 routes by value affinity, so every shard individually
 // obeys the strict turnstile model. After a Reshard the routing modulus
@@ -29,65 +21,14 @@ type turnShard struct {
 // never does. Post-reshard generations therefore answer invariant
 // checks through the merged fold (exact for the linear sketches), not
 // per shard — see Invariants.
-type turnGen struct {
-	id     uint64
-	shards []turnShard
-	fresh  func() core.Turnstile
-	caps   foldCaps
-	eps    float64 // factory's reported error budget; 0 when unknown
-}
-
-func newTurnGen(id uint64, p int, fresh func() core.Turnstile, caps foldCaps) *turnGen {
-	g := &turnGen{id: id, shards: make([]turnShard, p), fresh: fresh, caps: caps}
-	for i := range g.shards {
-		g.shards[i].s = fresh()
-	}
-	if er, ok := g.shards[0].s.(epsReporter); ok {
-		g.eps = er.Eps()
-	}
-	return g
-}
-
-// genSet implementation (see query.go).
-func (g *turnGen) numShards() int          { return len(g.shards) }
-func (g *turnGen) shardEpoch(i int) uint64 { return g.shards[i].epoch.Load() }
-func (g *turnGen) freshSummary() core.Summary {
-	return g.fresh()
-}
-func (g *turnGen) genID() uint64          { return g.id }
-func (g *turnGen) capabilities() foldCaps { return g.caps }
-
-func (g *turnGen) withShard(i int, fn func(s core.Summary)) uint64 {
-	sh := &g.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fn(sh.s)
-	return sh.epoch.Load()
-}
-
-// Turnstile partitions a strict-turnstile stream across P per-shard
-// summaries. Routing is by value affinity — mix(x) mod P — so an
-// element's deletions always reach the shard that saw its insertions.
-// All methods are safe for concurrent use, including Reshard/Retarget.
 type Turnstile struct {
-	// topo is the topology lock; see CashRegister.topo.
-	topo sync.RWMutex
-	gen  atomic.Pointer[turnGen]
-	q    queryCache
+	base[core.Turnstile]
 
 	// parts pools per-call partition scratch: batch routing scatters the
 	// input into per-shard sub-batches without allocating per call.
 	// Writer handles carry their own partition instead, so their flushes
 	// skip even the pool round-trip.
 	parts sync.Pool
-
-	// drainObs, when set, brackets each retired shard's drain during an
-	// elastic operation (see SetDrainObserver).
-	drainObs atomic.Pointer[DrainObserver]
-
-	// ckptObs, when set, brackets each live shard's marshal during a
-	// checkpoint save (see SetCheckpointObserver).
-	ckptObs atomic.Pointer[CheckpointObserver]
 }
 
 // partition is the pooled scatter scratch of one in-flight batch call.
@@ -112,82 +53,27 @@ func (pt *partition) resize(p int) {
 // (including seeds, so shards can merge at query time). An invalid
 // shard count surfaces as an error, not a panic.
 func NewTurnstile(p int, fresh func() core.Turnstile) (*Turnstile, error) {
-	if err := checkShards(p); err != nil {
+	t := &Turnstile{}
+	if err := t.init(p, fresh, false); err != nil {
 		return nil, err
 	}
-	t := &Turnstile{}
-	caps := probeCaps(func() core.Summary { return fresh() })
-	t.gen.Store(newTurnGen(0, p, fresh, caps))
 	t.parts.New = func() any { return &partition{} }
 	return t, nil
-}
-
-// Shards returns the current shard count P.
-func (t *Turnstile) Shards() int { return len(t.gen.Load().shards) }
-
-// Generation returns the topology generation: 0 at construction,
-// bumped by every Reshard/Retarget/decode.
-func (t *Turnstile) Generation() uint64 { return t.gen.Load().id }
-
-// Mergeable reports whether queries fold the shards into one merged
-// summary, probed once per factory — a factory drawing random dyadic
-// seeds is detected here instead of failing inside every query.
-func (t *Turnstile) Mergeable() bool { return t.gen.Load().caps.mergeable }
-
-// elasticSet implementation (see query.go). A turnstile never freezes
-// retired components: deletions must cancel against the insertions'
-// counts, so every drain is a merge (Reshard rejects non-mergeable
-// families).
-func (t *Turnstile) currentGen() genSet           { return t.gen.Load() }
-func (t *Turnstile) retiredVer() uint64           { return 0 }
-func (t *Turnstile) retiredComps() []*retiredComp { return nil }
-
-// topoRLock takes the topology read lock and hands the caller the
-// matching unlock; see CashRegister.topoRLock.
-//
-// locks topo
-func (t *Turnstile) topoRLock() func() {
-	t.topo.RLock()
-	return t.topo.RUnlock
 }
 
 // Insert implements core.Turnstile. A shard caught mid-retire re-routes
 // against the successor generation.
 func (t *Turnstile) Insert(x uint64) {
-	h := mix(x)
-	for {
-		g := t.gen.Load()
-		sh := &g.shards[h%uint64(len(g.shards))]
-		sh.mu.Lock()
-		if sh.retired {
-			sh.mu.Unlock()
-			runtime.Gosched()
-			continue
-		}
-		sh.epoch.Add(1)
-		sh.s.Insert(x)
-		sh.mu.Unlock()
-		return
-	}
+	sh := t.lockLive(mix(x))
+	sh.s.Insert(x)
+	sh.mu.Unlock()
 }
 
 // Delete implements core.Turnstile.
 func (t *Turnstile) Delete(x uint64) {
-	h := mix(x)
-	for {
-		g := t.gen.Load()
-		sh := &g.shards[h%uint64(len(g.shards))]
-		sh.mu.Lock()
-		if sh.retired {
-			sh.mu.Unlock()
-			runtime.Gosched()
-			continue
-		}
-		sh.epoch.Add(1)
-		sh.s.Delete(x)
-		sh.mu.Unlock()
-		return
-	}
+	sh := t.lockLive(mix(x))
+	sh.s.Delete(x)
+	sh.mu.Unlock()
 }
 
 // InsertBatch implements core.BatchTurnstile.
@@ -279,125 +165,10 @@ func addBatch(s core.Turnstile, xs []uint64, delta int64) {
 	}
 }
 
-// Count implements core.Summary.
-func (t *Turnstile) Count() int64 {
-	t.topo.RLock()
-	defer t.topo.RUnlock()
-	return t.countLocked()
-}
-
-// countLocked sums the shard counts; the caller holds the topology
-// read lock.
-func (t *Turnstile) countLocked() int64 {
-	g := t.gen.Load()
-	var n int64
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		n += sh.s.Count()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Rank implements core.Summary: (cached) merged-summary estimate when
-// the family merges (exact for the linear dyadic sketches — identical
-// to an unsharded sketch of the whole stream), summed per-shard
-// estimates otherwise.
-func (t *Turnstile) Rank(x uint64) int64 {
-	if e := t.q.entry(t); e != nil {
-		return e.rank(x)
-	}
-	t.topo.RLock()
-	defer t.topo.RUnlock()
-	return t.summedRankLocked(x)
-}
-
-// RankBatch implements core.QuantileBatcher.
-func (t *Turnstile) RankBatch(xs []uint64) []int64 {
-	if e := t.q.entry(t); e != nil {
-		return e.rankBatch(xs)
-	}
-	t.topo.RLock()
-	defer t.topo.RUnlock()
-	return t.summedRankBatchLocked(xs)
-}
-
-// summedRankLocked is the additive estimate over the live shards; the
-// caller holds the topology read lock.
-func (t *Turnstile) summedRankLocked(x uint64) int64 {
-	g := t.gen.Load()
-	var r int64
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		r += sh.s.Rank(x)
-		sh.mu.Unlock()
-	}
-	return r
-}
-
-// summedRankBatchLocked is the batch form of summedRankLocked: one lock
-// acquisition and one native RankBatch sweep per shard for the whole
-// probe set.
-func (t *Turnstile) summedRankBatchLocked(xs []uint64) []int64 {
-	g := t.gen.Load()
-	out := make([]int64, len(xs))
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		rs := core.RankBatch(sh.s, xs)
-		sh.mu.Unlock()
-		for j, r := range rs {
-			out[j] += r
-		}
-	}
-	return out
-}
-
-// Quantile implements core.Summary within the composed ε bound.
-func (t *Turnstile) Quantile(phi float64) uint64 {
-	core.CheckPhi(phi)
-	if e := t.q.entry(t); e != nil {
-		return e.quantile(phi)
-	}
-	t.topo.RLock()
-	defer t.topo.RUnlock()
-	return rankQuantile(t.countLocked(), t.summedRankLocked, phi)
-}
-
-// QuantileBatch implements core.QuantileBatcher.
-func (t *Turnstile) QuantileBatch(phis []float64) []uint64 {
-	for _, phi := range phis {
-		core.CheckPhi(phi)
-	}
-	if e := t.q.entry(t); e != nil {
-		return e.quantileBatch(phis)
-	}
-	t.topo.RLock()
-	defer t.topo.RUnlock()
-	return rankQuantileBatch(t.countLocked(), t.summedRankBatchLocked, phis)
-}
-
-// SpaceBytes implements core.Summary: the sum over shards.
-func (t *Turnstile) SpaceBytes() int64 {
-	t.topo.RLock()
-	defer t.topo.RUnlock()
-	g := t.gen.Load()
-	var b int64
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		b += sh.s.SpaceBytes()
-		sh.mu.Unlock()
-	}
-	return b
-}
-
 // Invariants implements the sanitizer contract. Generation 0 routing
 // keeps every shard a valid strict-turnstile summary, so shards are
 // deep-checked individually. After a reshard only the whole container
-// is strict (see turnGen), so later generations check the merged fold
+// is strict (see Turnstile), so later generations check the merged fold
 // instead — for the linear sketches the fold is exactly the unsharded
 // sketch of the whole stream, so the check has full strength.
 func (t *Turnstile) Invariants() error {
@@ -405,25 +176,14 @@ func (t *Turnstile) Invariants() error {
 	defer t.topo.RUnlock()
 	g := t.gen.Load()
 	if g.id == 0 {
-		for i := range g.shards {
-			sh := &g.shards[i]
-			sh.mu.Lock()
-			err := checkShardInvariants(i, sh.s)
-			sh.mu.Unlock()
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+		return shardInvariantsLocked(g)
 	}
 	sum, _, err := mergedFold(g)
 	if err != nil {
 		return fmt.Errorf("sharded: post-reshard invariant fold: %w", err)
 	}
-	if ic, ok := sum.(invariantChecker); ok {
-		if err := ic.Invariants(); err != nil {
-			return fmt.Errorf("sharded: merged fold (generation %d): %w", g.id, err)
-		}
+	if err := checkInvariants(sum); err != nil {
+		return fmt.Errorf("sharded: merged fold (generation %d): %w", g.id, err)
 	}
 	return nil
 }
