@@ -92,93 +92,56 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Ingestion throughput: per-item vs batched updates for every summary,
-# and sharded scaling at P=1,2,4,8. Writes the committed baseline from
-# the conservative merge of several passes (fastest item-at-a-time rate,
-# slowest batch rate — so the recorded speedups lower-bound a typical
-# run); CI re-measures at reduced n and compares batch speedups against
-# it.
-INGEST_N ?= 2000000
-INGEST_RUNS ?= 3
-bench-ingest:
-	$(GO) run ./cmd/quantbench -ingest -n $(INGEST_N) -ingest-runs $(INGEST_RUNS) -ingest-out BENCH_ingest.json
+# Benchmark baselines and gates. `quantbench -bench <mode>` measures one
+# mode into the shared report schema (raw Melem/s and µs rows, no
+# stored ratios); `quantbench -compare` derives the mode's gated ratios
+# and fails if any drops more than 25% below the committed
+# BENCH_<mode>.json, or if a baseline gate is missing. The modes:
+#   ingest      per-item vs batched updates for every summary (gated on
+#               batch/item) and sharded writers at P = 1, 2, 4, 8;
+#   query       per-phi vs single-pass batched vs snapshot-cached
+#               extraction (gated on batch/per_phi and cached/per_phi)
+#               and the sharded fold cache (gated on hot/cold);
+#   parallel    W writer handles feeding a W-shard container at
+#               W = 1, 2, 4, NumCPU;
+#   checkpoint  save and recover of a 64-shard container at fan-out
+#               worker counts P = 1, 4, 16, 64.
+# parallel and checkpoint gate on scaling efficiency at the highest
+# count, rate(k) / (rate(1) x min(k, GOMAXPROCS)): on a 1-core machine
+# that checks pure overhead, on a 4-core runner a 0.75 floor demands
+# >= 3x the k = 1 rate. Only ratios are gated; absolute rates are
+# machine-bound.
+BENCH_MODES := ingest query parallel checkpoint
 
-# Query-path throughput: per-phi vs single-pass batched vs
-# snapshot-cached quantile extraction for every summary, plus the
-# sharded fold cache. Writes the committed baseline from the
-# conservative merge of several passes (so CI's single pass clears the
-# 25%-tolerance floors even on noisy runners); CI re-measures at the
-# same n — cached speedups grow with n — and compares the ratios.
-QUERY_N ?= 2000000
-QUERY_RUNS ?= 3
-bench-query:
-	$(GO) run ./cmd/quantbench -query -n $(QUERY_N) -query-runs $(QUERY_RUNS) -query-out BENCH_query.json
+# Refresh the committed baselines: several passes per mode, merged
+# conservatively (each ratio's base keeps its best pass, the rest their
+# worst), so every recorded ratio lower-bounds a typical single pass.
+BENCH_N ?= 2000000
+BENCH_RUNS ?= 3
+bench-baselines: $(addprefix bench-,$(BENCH_MODES))
+bench-ingest bench-query bench-parallel bench-checkpoint:
+	$(GO) run ./cmd/quantbench -bench $(@:bench-%=%) -n $(BENCH_N) -runs $(BENCH_RUNS) -out BENCH_$(@:bench-%=%).json
 
-# Multi-core write-path scaling: W writer goroutines, each with its own
-# AcquireWriter handle, feed a W-shard container element-at-a-time at
-# W = 1, 2, 4 and NumCPU. The committed baseline merges several passes
-# conservatively (fastest 1-writer rate, slowest multi-writer rate) so
-# its efficiency floors lower-bound a typical run; the compare gates on
-# scaling efficiency — rate(W) / (rate(1) x min(W, GOMAXPROCS)) — which
-# is machine-portable where absolute Melem/s is not.
-PARALLEL_N ?= 2000000
-PARALLEL_RUNS ?= 3
-bench-parallel:
-	$(GO) run ./cmd/quantbench -parallel -n $(PARALLEL_N) -parallel-runs $(PARALLEL_RUNS) -parallel-out BENCH_parallel.json
-
-# Scaling-efficiency smoke (part of `make verify`): one reduced-n
-# parallel pass compared against the committed BENCH_parallel.json at
-# the default 25% tolerance. Efficiency is normalized to the measuring
-# machine's cores, so the same committed baseline gates a 1-core
-# container (pure handle overhead) and a 4-core runner (where a 0.75
-# floor at W=4 demands >= 3x the 1-writer throughput).
-PARALLEL_SMOKE_N ?= 500000
-parallel-smoke:
-	$(GO) run ./cmd/quantbench -parallel -n $(PARALLEL_SMOKE_N) -parallel-out /tmp/sq_parallel_ci.json
-	$(GO) run ./cmd/quantbench -parallel-compare BENCH_parallel.json /tmp/sq_parallel_ci.json
-
-# Durability-path scaling: save (per-shard fan-out marshal + framed
-# write) and recover (pipelined CRC verify + fan-out decode) of a
-# 64-shard container, swept over worker counts P = 1/4/16/64. The
-# committed baseline merges several passes conservatively (fastest
-# sequential rate, slowest fan-out rate) and the compare gates on
-# scaling efficiency — rate(P) / (rate(1) x min(P, GOMAXPROCS)) — the
-# same machine-portable normalization as bench-parallel.
-CHECKPOINT_N ?= 2000000
-CHECKPOINT_RUNS ?= 3
-bench-checkpoint:
-	$(GO) run ./cmd/quantbench -checkpoint -n $(CHECKPOINT_N) -checkpoint-runs $(CHECKPOINT_RUNS) -checkpoint-out BENCH_checkpoint.json
-
-# Checkpoint fan-out smoke (part of `make verify`): one reduced-n
-# save/recover sweep compared against the committed
-# BENCH_checkpoint.json at the default 25% tolerance. On a 1-core
-# container every efficiency measures pure fan-out overhead; on a
-# 4-core runner the baseline's 0.86-class floors at P = 64 demand
-# roughly 3x the sequential save and recover rate.
-CHECKPOINT_SMOKE_N ?= 500000
-checkpoint-smoke:
-	$(GO) run ./cmd/quantbench -checkpoint -n $(CHECKPOINT_SMOKE_N) -checkpoint-out /tmp/sq_checkpoint_ci.json
-	$(GO) run ./cmd/quantbench -checkpoint-compare BENCH_checkpoint.json /tmp/sq_checkpoint_ci.json
-
-# Refresh the committed baselines in one go.
-bench-baselines: bench-ingest bench-query bench-parallel bench-checkpoint
-
-# Regression gate: re-measure one pass of each path at a reduced n and
-# compare the speedup ratios against the committed baselines under the
-# default 25% tolerance (absolute rates vary with machine and n; the
-# ratios are what the batch/snapshot work promises). bench-all is the
-# one-command local mirror of CI's two benchmark gates.
-bench-all: bench-compare
+# Regression gate, the one source of what CI gates: bench-check-<mode>
+# re-measures one pass of <mode> and compares it against the committed
+# baseline; bench-compare runs all four (CI runs it with -k so every
+# compare runs and every fresh report lands in $(BENCH_OUT)). Reduced n,
+# except query, which omits -n and so runs at quantbench's default
+# bench n, the n its baseline was recorded at: the cached speedup grows
+# with n (per-phi cost is O(s), a cached hit O(log s)).
+BENCH_OUT ?= /tmp/sq_bench
 COMPARE_N ?= 500000
-bench-compare:
-	$(GO) run ./cmd/quantbench -ingest -n $(COMPARE_N) -ingest-out /tmp/sq_ingest_ci.json
-	$(GO) run ./cmd/quantbench -ingest-compare BENCH_ingest.json /tmp/sq_ingest_ci.json
-	$(GO) run ./cmd/quantbench -query -n $(COMPARE_N) -query-out /tmp/sq_query_ci.json
-	$(GO) run ./cmd/quantbench -query-compare BENCH_query.json /tmp/sq_query_ci.json
-	$(GO) run ./cmd/quantbench -parallel -n $(COMPARE_N) -parallel-out /tmp/sq_parallel_ci.json
-	$(GO) run ./cmd/quantbench -parallel-compare BENCH_parallel.json /tmp/sq_parallel_ci.json
-	$(GO) run ./cmd/quantbench -checkpoint -n $(COMPARE_N) -checkpoint-out /tmp/sq_checkpoint_ci.json
-	$(GO) run ./cmd/quantbench -checkpoint-compare BENCH_checkpoint.json /tmp/sq_checkpoint_ci.json
+bench-compare: $(addprefix bench-check-,$(BENCH_MODES))
+bench-all: bench-compare
+bench-check-%:
+	@mkdir -p $(BENCH_OUT)
+	$(GO) run ./cmd/quantbench -bench $* $(if $(filter query,$*),,-n $(COMPARE_N)) -out $(BENCH_OUT)/$*.json
+	$(GO) run ./cmd/quantbench -compare BENCH_$*.json $(BENCH_OUT)/$*.json
+
+# The scaling-efficiency smokes of `make verify`: the same recipe as
+# bench-compare, for the multi-writer and checkpoint fan-out modes.
+parallel-smoke: bench-check-parallel
+checkpoint-smoke: bench-check-checkpoint
 
 # Regenerate EXPERIMENTS.md (several minutes at the default n).
 experiments:

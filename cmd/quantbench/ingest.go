@@ -1,10 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -16,47 +12,16 @@ import (
 	"streamquantiles/internal/qdigest"
 	"streamquantiles/internal/randalg"
 	"streamquantiles/internal/sharded"
-	"streamquantiles/internal/streamgen"
 )
 
 // The ingest mode measures what the batched fast paths and the sharded
-// writer buy on this machine: single-thread batched-vs-per-item
-// throughput for every summary, and aggregate sharded throughput at
-// P ∈ {1, 2, 4, 8} with P writer goroutines. Results land in a JSON
-// report (BENCH_ingest.json at the repo root is the committed
-// baseline); -ingest-compare checks a fresh report against a baseline
-// using only machine-portable ratios (batch speedups), never absolute
-// element rates.
+// writer buy on this machine: single-thread per-item ("item") vs
+// batched ("batch") throughput for every summary, gated on the
+// batch/item speedup, and aggregate sharded "batch" throughput at
+// param P ∈ {1, 2, 4, 8} shards with P writer goroutines.
 
-// ingestReport is the schema of BENCH_ingest.json.
-type ingestReport struct {
-	N          int             `json:"n"`
-	Batch      int             `json:"batch"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"numcpu"`
-	GoVersion  string          `json:"goversion"`
-	Workload   string          `json:"workload"`
-	Summaries  []ingestSummary `json:"summaries"`
-	Sharded    []ingestSharded `json:"sharded"`
-}
-
-// ingestSummary is one summary's single-thread measurement.
-type ingestSummary struct {
-	Name       string  `json:"name"`
-	ItemMelems float64 `json:"item_melems_per_s"`
-	BatchMelem float64 `json:"batch_melems_per_s"`
-	Speedup    float64 `json:"batch_speedup"`
-}
-
-// ingestSharded is one (summary, P) aggregate-throughput measurement
-// with P concurrent batched writers.
-type ingestSharded struct {
-	Name    string  `json:"name"`
-	Shards  int     `json:"p"`
-	Writers int     `json:"writers"`
-	Melems  float64 `json:"melems_per_s"`
-	Scaling float64 `json:"scaling_vs_p1"`
-}
+// ingestBatch is the batch size of every batched path.
+const ingestBatch = 4096
 
 // ingestCash is the cash-register bench roster: every summary with a
 // native batch path plus its configuration.
@@ -85,55 +50,8 @@ var ingestTurn = []struct {
 	{"drss", func() core.Turnstile { return dyadic.New(dyadic.DRSS, 0.005, 24, dyadic.Config{Seed: 7}) }},
 }
 
-// runIngest measures everything runs times, keeps the conservative
-// merge (see mergeIngestReports), and writes the report. CI runs once;
-// the committed baseline uses several runs so its ratios lower-bound a
-// typical run and the compare tolerance absorbs machine noise instead
-// of stacking on top of a lucky baseline.
-func runIngest(n, batch, runs int, out string) {
-	if runs <= 0 {
-		runs = 1
-	}
-	rep := measureIngest(n, batch)
-	for r := 1; r < runs; r++ {
-		fmt.Fprintf(os.Stderr, "-- run %d/%d --\n", r+1, runs)
-		rep = mergeIngestReports(rep, measureIngest(n, batch))
-	}
-
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatalf("ingest: %v", err)
-	}
-	blob = append(blob, '\n')
-	if out == "" || out == "-" {
-		os.Stdout.Write(blob)
-		return
-	}
-	if err := os.WriteFile(out, blob, 0o644); err != nil {
-		fatalf("ingest: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-}
-
-// measureIngest runs one full measurement pass.
-func measureIngest(n, batch int) ingestReport {
-	if n <= 0 {
-		n = 2_000_000
-	}
-	if batch <= 0 {
-		batch = 4096
-	}
-	gen := streamgen.Uniform{Bits: 24, Seed: 1}
-	data := streamgen.Generate(gen, n)
-	rep := ingestReport{
-		N:          n,
-		Batch:      batch,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
-		Workload:   gen.Name(),
-	}
-
+// measureIngest runs one ingest pass.
+func measureIngest(data []uint64, rs *rows) {
 	for _, tc := range ingestCash {
 		item := measure(func() {
 			s := tc.fresh()
@@ -143,11 +61,10 @@ func measureIngest(n, batch int) ingestReport {
 		})
 		batched := measure(func() {
 			s := tc.fresh()
-			forBatches(data, batch, s.(core.BatchCashRegister).UpdateBatch)
+			forBatches(data, ingestBatch, s.(core.BatchCashRegister).UpdateBatch)
 		})
-		rep.Summaries = append(rep.Summaries, summaryRow(tc.name, n, item, batched))
-		fmt.Fprintf(os.Stderr, "%-12s item %8.2f Melem/s   batch %8.2f Melem/s   %.2fx\n",
-			tc.name, melems(n, item), melems(n, batched), item.Seconds()/batched.Seconds())
+		rs.rate(tc.name, "item", 0, item)
+		rs.rate(tc.name, "batch", 0, batched)
 	}
 	for _, tc := range ingestTurn {
 		item := measure(func() {
@@ -158,11 +75,10 @@ func measureIngest(n, batch int) ingestReport {
 		})
 		batched := measure(func() {
 			s := tc.fresh()
-			forBatches(data, batch, s.(core.BatchTurnstile).InsertBatch)
+			forBatches(data, ingestBatch, s.(core.BatchTurnstile).InsertBatch)
 		})
-		rep.Summaries = append(rep.Summaries, summaryRow(tc.name, n, item, batched))
-		fmt.Fprintf(os.Stderr, "%-12s item %8.2f Melem/s   batch %8.2f Melem/s   %.2fx\n",
-			tc.name, melems(n, item), melems(n, batched), item.Seconds()/batched.Seconds())
+		rs.rate(tc.name, "item", 0, item)
+		rs.rate(tc.name, "batch", 0, batched)
 	}
 
 	// Sharded scaling: P writer goroutines each feeding their slice of
@@ -170,7 +86,9 @@ func measureIngest(n, batch int) ingestReport {
 	// families, DCS (the study's recommended turnstile summary) for the
 	// dyadic ones. Scaling beyond 1 requires cores: on a single-CPU
 	// machine (see gomaxprocs in the report) P>1 only measures that the
-	// lock split adds no slowdown.
+	// lock split adds no slowdown. Not gated; the merge still keeps the
+	// best P=1 rate and the worst P>1 rates, so the recorded scaling
+	// lower-bounds every pass.
 	for _, tc := range []struct {
 		name string
 		run  func(p int) time.Duration
@@ -180,7 +98,7 @@ func measureIngest(n, batch int) ingestReport {
 			if err != nil {
 				panic(err)
 			}
-			return measureWriters(data, p, batch, s.UpdateBatch)
+			return measureWriters(data, p, ingestBatch, s.UpdateBatch)
 		}},
 		{"sharded/dcs", func(p int) time.Duration {
 			s, err := sharded.NewTurnstile(p, func() core.Turnstile {
@@ -189,72 +107,13 @@ func measureIngest(n, batch int) ingestReport {
 			if err != nil {
 				panic(err)
 			}
-			return measureWriters(data, p, batch, s.InsertBatch)
+			return measureWriters(data, p, ingestBatch, s.InsertBatch)
 		}},
 	} {
-		var base float64
 		for _, p := range []int{1, 2, 4, 8} {
-			el := tc.run(p)
-			rate := melems(n, el)
-			if p == 1 {
-				base = rate
-			}
-			rep.Sharded = append(rep.Sharded, ingestSharded{
-				Name: tc.name, Shards: p, Writers: p,
-				Melems: rate, Scaling: rate / base,
-			})
-			fmt.Fprintf(os.Stderr, "%-16s P=%d  %8.2f Melem/s   %.2fx vs P=1\n", tc.name, p, rate, rate/base)
+			rs.rate(tc.name, "batch", p, tc.run(p))
 		}
 	}
-	return rep
-}
-
-// mergeIngestReports folds run b into a conservatively: per summary row
-// it keeps the *fastest* observed per-item rate and the *slowest*
-// observed batch rate, then recomputes the speedup from those. The
-// merged ratio lower-bounds every individual run's ratio, so a baseline
-// built from several runs sets compare floors that a typical CI run
-// clears even when one measurement lands on a throttled scheduler
-// slice. Sharded rows keep the slowest aggregate rate per (name, P) and
-// recompute scaling from the merged P=1 row — conservative in the same
-// direction.
-func mergeIngestReports(a, b ingestReport) ingestReport {
-	bBy := map[string]ingestSummary{}
-	for _, s := range b.Summaries {
-		bBy[s.Name] = s
-	}
-	for i, s := range a.Summaries {
-		o, ok := bBy[s.Name]
-		if !ok {
-			continue
-		}
-		s.ItemMelems = max(s.ItemMelems, o.ItemMelems)
-		s.BatchMelem = min(s.BatchMelem, o.BatchMelem)
-		s.Speedup = s.BatchMelem / s.ItemMelems
-		a.Summaries[i] = s
-	}
-	type shardKey struct {
-		name string
-		p    int
-	}
-	bSh := map[shardKey]ingestSharded{}
-	for _, s := range b.Sharded {
-		bSh[shardKey{s.Name, s.Shards}] = s
-	}
-	base := map[string]float64{}
-	for i, s := range a.Sharded {
-		if o, ok := bSh[shardKey{s.Name, s.Shards}]; ok {
-			s.Melems = min(s.Melems, o.Melems)
-		}
-		if s.Shards == 1 {
-			base[s.Name] = s.Melems
-		}
-		if p1 := base[s.Name]; p1 > 0 {
-			s.Scaling = s.Melems / p1
-		}
-		a.Sharded[i] = s
-	}
-	return a
 }
 
 // measure times fn, keeping the fastest of two runs. One run already
@@ -303,72 +162,4 @@ func measureWriters(data []uint64, p, batch int, fn func([]uint64)) time.Duratio
 	}
 	wg.Wait()
 	return time.Since(start)
-}
-
-func summaryRow(name string, n int, item, batched time.Duration) ingestSummary {
-	return ingestSummary{
-		Name:       name,
-		ItemMelems: melems(n, item),
-		BatchMelem: melems(n, batched),
-		Speedup:    item.Seconds() / batched.Seconds(),
-	}
-}
-
-func melems(n int, el time.Duration) float64 {
-	return float64(n) / el.Seconds() / 1e6
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "quantbench: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-// runIngestCompare fails (exit 1) when any batch speedup in the new
-// report regressed more than tolFrac below the baseline's. Only the
-// speedup ratios are compared — absolute Melem/s depends on the
-// machine, but "batching buys k×" is a property of the code.
-func runIngestCompare(oldPath, newPath string, tolFrac float64) {
-	oldRep, err := readIngest(oldPath)
-	if err != nil {
-		fatalf("ingest-compare: %v", err)
-	}
-	newRep, err := readIngest(newPath)
-	if err != nil {
-		fatalf("ingest-compare: %v", err)
-	}
-	oldBy := map[string]ingestSummary{}
-	for _, s := range oldRep.Summaries {
-		oldBy[s.Name] = s
-	}
-	failed := false
-	for _, s := range newRep.Summaries {
-		o, ok := oldBy[s.Name]
-		if !ok {
-			fmt.Printf("%-12s NEW      batch speedup %.2fx (no baseline)\n", s.Name, s.Speedup)
-			continue
-		}
-		limit := o.Speedup * (1 - tolFrac)
-		status := "ok"
-		if s.Speedup < limit {
-			status = "REGRESSED"
-			failed = true
-		}
-		fmt.Printf("%-12s %-9s batch speedup %.2fx vs baseline %.2fx (floor %.2fx)\n",
-			s.Name, status, s.Speedup, o.Speedup, limit)
-	}
-	if failed {
-		fatalf("ingest-compare: batch speedup regressed more than %.0f%%", tolFrac*100)
-	}
-}
-
-func readIngest(path string) (*ingestReport, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep ingestReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
 }

@@ -9,6 +9,12 @@
 //	quantbench -exp fig10 -n 1000000    # paper-scale stream length
 //	quantbench -all -format markdown    # full report (EXPERIMENTS.md)
 //	quantbench -list                    # available experiments
+//
+// It also measures the repo's CI-gated performance ratios (see
+// report.go):
+//
+//	quantbench -bench query -out fresh.json         # one bench pass
+//	quantbench -compare BENCH_query.json fresh.json # gate it on the baseline
 package main
 
 import (
@@ -65,93 +71,31 @@ func main() {
 		format  = flag.String("format", "table", "output format: table, csv, markdown, html")
 		verify  = flag.Bool("verify", false, "run all experiments and check the paper's shape claims")
 
-		ingest     = flag.Bool("ingest", false, "measure batched vs per-item ingestion and sharded scaling")
-		ingestBat  = flag.Int("ingest-batch", 4096, "batch size for -ingest")
-		ingestRuns = flag.Int("ingest-runs", 1, "measurement passes for -ingest; >1 keeps the conservative merge (baselines)")
-		ingestOut  = flag.String("ingest-out", "", "write the -ingest JSON report here (default stdout)")
-		ingestCmp  = flag.Bool("ingest-compare", false, "compare two ingest reports: quantbench -ingest-compare old.json new.json")
-		ingestTol  = flag.Float64("ingest-tol", 0.25, "allowed fractional batch-speedup regression for -ingest-compare")
-
-		parallel     = flag.Bool("parallel", false, "measure writer-handle scaling across writer counts (1/2/4/NumCPU)")
-		parallelRuns = flag.Int("parallel-runs", 1, "measurement passes for -parallel; >1 keeps the conservative merge (baselines)")
-		parallelOut  = flag.String("parallel-out", "", "write the -parallel JSON report here (default stdout)")
-		parallelCmp  = flag.Bool("parallel-compare", false, "compare two parallel reports: quantbench -parallel-compare old.json new.json")
-		parallelTol  = flag.Float64("parallel-tol", 0.25, "allowed fractional efficiency regression for -parallel-compare")
-
-		ckpt     = flag.Bool("checkpoint", false, "measure sharded save/recover scaling across fan-out worker counts (1/4/16/64)")
-		ckptRuns = flag.Int("checkpoint-runs", 1, "measurement passes for -checkpoint; >1 keeps the conservative merge (baselines)")
-		ckptOut  = flag.String("checkpoint-out", "", "write the -checkpoint JSON report here (default stdout)")
-		ckptCmp  = flag.Bool("checkpoint-compare", false, "compare two checkpoint reports: quantbench -checkpoint-compare old.json new.json")
-		ckptTol  = flag.Float64("checkpoint-tol", 0.25, "allowed fractional efficiency regression for -checkpoint-compare")
-
-		cpus         = flag.Int("cpus", 0, "pin GOMAXPROCS for the run (0 = leave as is); reports record the effective value")
+		bench        = flag.String("bench", "", "measure one bench mode and write its report: ingest, query, parallel or checkpoint")
+		runs         = flag.Int("runs", 1, "measurement passes for -bench; >1 keeps the conservative merge (baselines)")
+		out          = flag.String("out", "", "write the -bench JSON report here (default stdout)")
+		compare      = flag.Bool("compare", false, "gate a fresh bench report on a baseline: quantbench -compare old.json new.json")
 		mutexProfile = flag.String("mutexprofile", "", "write a mutex-contention profile of the measurement here")
 		blockProfile = flag.String("blockprofile", "", "write a blocking profile of the measurement here")
-
-		query     = flag.Bool("query", false, "measure per-phi vs batched vs snapshot-cached quantile extraction")
-		queryPhis = flag.Int("query-phis", 100, "fractions per extraction for -query")
-		queryRuns = flag.Int("query-runs", 1, "measurement passes for -query; >1 keeps the conservative merge (baselines)")
-		queryOut  = flag.String("query-out", "", "write the -query JSON report here (default stdout)")
-		queryCmp  = flag.Bool("query-compare", false, "compare two query reports: quantbench -query-compare old.json new.json")
-		queryTol  = flag.Float64("query-tol", 0.25, "allowed fractional speedup regression for -query-compare")
 	)
 	flag.Parse()
 
-	if *cpus > 0 {
-		runtime.GOMAXPROCS(*cpus)
-	}
 	// Contention observability: with a profile path set, the runtime
 	// samples mutex hold-ups / blocking for the whole measurement and the
 	// profile is written on the way out — the "where did the time go"
 	// answer when a scaling gate regresses.
 	defer startProfiles(*mutexProfile, *blockProfile)()
 
-	if *ingest {
-		runIngest(*n, *ingestBat, *ingestRuns, *ingestOut)
+	if *bench != "" {
+		runBench(*bench, *n, *runs, *out)
 		return
 	}
-	if *parallel {
-		runParallel(*n, *parallelRuns, *parallelOut)
-		return
-	}
-	if *parallelCmp {
+	if *compare {
 		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "quantbench: -parallel-compare needs two report paths: old.json new.json")
+			fmt.Fprintln(os.Stderr, "quantbench: -compare needs two report paths: old.json new.json")
 			os.Exit(2)
 		}
-		runParallelCompare(flag.Arg(0), flag.Arg(1), *parallelTol)
-		return
-	}
-	if *ckpt {
-		runCheckpoint(*n, *ckptRuns, *ckptOut)
-		return
-	}
-	if *ckptCmp {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "quantbench: -checkpoint-compare needs two report paths: old.json new.json")
-			os.Exit(2)
-		}
-		runCheckpointCompare(flag.Arg(0), flag.Arg(1), *ckptTol)
-		return
-	}
-	if *ingestCmp {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "quantbench: -ingest-compare needs two report paths: old.json new.json")
-			os.Exit(2)
-		}
-		runIngestCompare(flag.Arg(0), flag.Arg(1), *ingestTol)
-		return
-	}
-	if *query {
-		runQuery(*n, *queryPhis, *queryRuns, *queryOut)
-		return
-	}
-	if *queryCmp {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "quantbench: -query-compare needs two report paths: old.json new.json")
-			os.Exit(2)
-		}
-		runQueryCompare(flag.Arg(0), flag.Arg(1), *queryTol)
+		runCompare(flag.Arg(0), flag.Arg(1))
 		return
 	}
 
