@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify build test race lint lint-strict check crash stress-smoke e2e-smoke fuzz bench bench-all bench-baselines bench-ingest bench-query bench-parallel parallel-smoke bench-checkpoint checkpoint-smoke bench-compare experiments report html clean
+.PHONY: all verify build test race lint lint-strict loc check crash stress-smoke e2e-smoke fuzz bench bench-all bench-baselines bench-ingest bench-query bench-parallel parallel-smoke bench-checkpoint checkpoint-smoke bench-compare experiments report html clean
 
 all: build test lint
 
@@ -150,6 +150,14 @@ experiments:
 # Self-contained HTML results page.
 html:
 	$(GO) run ./cmd/quantbench -all -format html > results.html
+
+# Code lines per package: the non-blank, non-comment lines of its
+# non-test Go files (the count CHANGES.md quotes), then the total.
+loc:
+	@total=0; for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		n=$$(ls $$d/*.go | grep -v '_test\.go$$' | xargs cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l); \
+		total=$$((total + n)); printf '%6d %s\n' $$n .$${d#$(CURDIR)}; \
+	done; printf '%6d total\n' $$total
 
 clean:
 	$(GO) clean ./...

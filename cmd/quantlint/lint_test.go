@@ -251,16 +251,18 @@ func TestNewRulesCleanOnRepo(t *testing.T) {
 }
 
 // TestStrippedDeferIsCaught is the negative control for the lock
-// analysis: copy the repository, delete one `defer c.mu.Unlock()` from
-// safe.go, and SQ011 must report the leaked lock. If this test fails,
-// the dataflow has gone blind — a green SQ011 over the real tree would
-// mean nothing.
+// analysis: copy the repository, delete the `defer sh.mu.Unlock()` from
+// gen.withShard in internal/sharded/base.go (the shard-lock helper
+// every fold and every Safe encode goes through), and SQ011 must report
+// the leaked lock. If this test fails, the dataflow has gone blind — a
+// green SQ011 over the real tree would mean nothing.
 func TestStrippedDeferIsCaught(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tmp := t.TempDir()
+	mutated := filepath.Join("internal", "sharded", "base.go")
 	stripped := false
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -289,12 +291,14 @@ func TestStrippedDeferIsCaught(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if rel == "safe.go" {
-			const target = "defer c.mu.Unlock()"
-			idx := strings.Index(string(data), target)
-			if idx < 0 {
-				t.Fatalf("safe.go no longer contains %q; update this test's mutation", target)
+		if rel == mutated {
+			const fn, target = "func (g *gen[S]) withShard(", "defer sh.mu.Unlock()"
+			at := strings.Index(string(data), fn)
+			idx := strings.Index(string(data[max(at, 0):]), target)
+			if at < 0 || idx < 0 {
+				t.Fatalf("%s no longer contains %q in withShard; update this test's mutation", mutated, target)
 			}
+			idx += at
 			data = append(data[:idx], data[idx+len(target):]...)
 			stripped = true
 		}
@@ -304,7 +308,7 @@ func TestStrippedDeferIsCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !stripped {
-		t.Fatal("copy finished without mutating safe.go")
+		t.Fatalf("copy finished without mutating %s", mutated)
 	}
 	fs, err := lintOnly(tmp, []string{"./..."}, map[string]bool{"SQ011": true})
 	if err != nil {
@@ -312,11 +316,11 @@ func TestStrippedDeferIsCaught(t *testing.T) {
 	}
 	found := false
 	for _, f := range fs {
-		if f.Rule == "SQ011" && f.File == "safe.go" {
+		if f.Rule == "SQ011" && f.File == filepath.ToSlash(mutated) {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("stripping a defer unlock from safe.go produced no SQ011 finding; got: %s", render(fs, true))
+		t.Errorf("stripping a defer unlock from %s produced no SQ011 finding; got: %s", mutated, render(fs, true))
 	}
 }

@@ -27,7 +27,8 @@
 //	                          deferred release at exit
 //	return c.mu.Unlock        the bound unlock method value transfers
 //	                          release ownership to the caller: counts
-//	                          as a release (safe.go's rlock pattern)
+//	                          as a release (base.topoRLock in
+//	                          internal/sharded)
 //	sh := b.lockLive(slot)    `locks result.mu` helper: acquire sh.mu
 //	return sh                 inside such a helper: release sh.mu, the
 //	                          caller now owns it

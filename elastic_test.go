@@ -463,10 +463,9 @@ func TestShardedTurnstileCodecRoundTrip(t *testing.T) {
 }
 
 // TestSafeRetarget covers the wrapper-level re-ε: absorption through
-// RetargetMerge, rejection when no absorb path exists, and the
-// capability re-probe (a retarget that lands on a Flusher must demote
-// queries to exclusive locks; one that lands on a Snapshotter must
-// re-arm the snapshot cache).
+// RetargetMerge, rejection when no absorb path exists, and a retarget
+// onto a different family (the new summary's queries flush, and it
+// answers from its own snapshot) under concurrent use.
 func TestSafeRetarget(t *testing.T) {
 	data := batchTestData(20000)
 	c := NewSafeCashRegister(NewKLL(0.01, 7))
@@ -495,21 +494,17 @@ func TestSafeRetarget(t *testing.T) {
 		t.Fatalf("failed retarget mutated state: count %d", g.Count())
 	}
 
-	// An empty wrapper absorbs trivially — and the capability probes must
-	// track the new summary: KLL reads are shared, GKArray's flush on
-	// query demands exclusive reads.
-	e := NewSafeCashRegister(NewKLL(0.01, 7))
-	if e.exclusiveReads.Load() {
-		t.Fatal("KLL demoted to exclusive reads")
-	}
-	if err := e.Retarget(NewGKArray(0.01)); err != nil {
-		t.Fatal(err)
-	}
-	if !e.exclusiveReads.Load() {
-		t.Fatal("retarget onto a Flusher kept shared reads")
-	}
-	e.Update(7)
-	if got := e.Quantile(0.5); got != 7 {
-		t.Fatalf("Quantile after retarget = %d, want 7", got)
+	// An empty wrapper absorbs trivially, and a retarget onto a summary
+	// whose queries flush buffered work stays sound: under concurrent
+	// readers and a writer its answers match a twin fed the same stream.
+	for name, fresh := range map[string]func() CashRegister{
+		"GKArray": func() CashRegister { return NewGKArray(0.01) },
+		"QDigest": func() CashRegister { return NewQDigest(0.01, 16) },
+	} {
+		e := NewSafeCashRegister(NewKLL(0.01, 7))
+		if err := e.Retarget(fresh()); err != nil {
+			t.Fatalf("retarget onto %s: %v", name, err)
+		}
+		hammerSafe(t, e, fresh(), data)
 	}
 }

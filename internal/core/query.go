@@ -109,8 +109,8 @@ type QuerySnapshot struct {
 // Snapshotter is implemented by summaries whose query behavior can be
 // flattened exactly into a QuerySnapshot. AppendQuerySnapshot overwrites
 // qs with the summary's current state, reusing slice capacity. Callers
-// that cache snapshots own the invalidation protocol (see
-// internal/snapshot).
+// that cache snapshots own the invalidation protocol (see the epoch
+// cache in internal/sharded/query.go).
 type Snapshotter interface {
 	AppendQuerySnapshot(qs *QuerySnapshot)
 }

@@ -96,7 +96,6 @@ func newGen[S core.Summary](id uint64, p int, fresh func() S, caps foldCaps) *ge
 
 // genSet implementation (see query.go).
 func (g *gen[S]) numShards() int             { return len(g.shards) }
-func (g *gen[S]) shardEpoch(i int) uint64    { return g.shards[i].epoch.Load() }
 func (g *gen[S]) freshSummary() core.Summary { return g.fresh() }
 func (g *gen[S]) genID() uint64              { return g.id }
 func (g *gen[S]) capabilities() foldCaps     { return g.caps }
@@ -177,6 +176,21 @@ func (b *base[S]) Mergeable() bool { return b.gen.Load().caps.mergeable }
 func (b *base[S]) currentGen() genSet           { return b.gen.Load() }
 func (b *base[S]) retiredVer() uint64           { return b.ret.ver.Load() }
 func (b *base[S]) retiredComps() []*retiredComp { return b.ret.comps }
+
+// current is written over the typed generation rather than genSet, so
+// the check every cached query pays makes no further interface calls.
+func (b *base[S]) current(e *combinedEntry) bool {
+	g := b.gen.Load()
+	if g.id != e.genID || b.ret.ver.Load() != e.retVer {
+		return false
+	}
+	for i, ep := range e.epochs {
+		if g.shards[i].epoch.Load() != ep {
+			return false
+		}
+	}
+	return true
+}
 
 // topoRLock takes the topology read lock and hands the caller the
 // matching unlock — the fold rebuild in query.go holds it for the
@@ -299,22 +313,42 @@ func (b *base[S]) Quantile(phi float64) uint64 {
 	}
 	b.topo.RLock()
 	defer b.topo.RUnlock()
+	if sh := b.loneLocked(); sh != nil {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.s.Quantile(phi)
+	}
 	return rankQuantile(b.countLocked(), b.summedRankLocked, phi)
 }
 
 // QuantileBatch implements core.QuantileBatcher: one cached fold (or
 // one lockstep rank-descent over all fractions) answers the whole
-// batch.
+// batch. Whichever answers validates the fractions: a snapshot, a
+// summary or the descent.
 func (b *base[S]) QuantileBatch(phis []float64) []uint64 {
-	for _, phi := range phis {
-		core.CheckPhi(phi)
-	}
 	if e := b.q.entry(b); e != nil {
 		return e.quantileBatch(phis)
 	}
 	b.topo.RLock()
 	defer b.topo.RUnlock()
+	if sh := b.loneLocked(); sh != nil {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return core.QuantileBatch(sh.s, phis)
+	}
 	return rankQuantileBatch(b.countLocked(), b.summedRankBatchLocked, phis)
+}
+
+// loneLocked returns the live generation's only shard when there is one
+// shard and no frozen component: with no snapshot to answer from, such
+// a container queries that shard's live summary, so it still answers
+// exactly like it (the summed rank paths already do: a sum of one). The
+// caller holds the topology read lock.
+func (b *base[S]) loneLocked() *shard[S] {
+	if g := b.gen.Load(); len(g.shards) == 1 && len(b.ret.comps) == 0 {
+		return &g.shards[0]
+	}
+	return nil
 }
 
 // SpaceBytes implements core.Summary: the sum over shards and frozen

@@ -227,24 +227,29 @@ func finerThan(tgt, old core.Summary) bool {
 	return ok1 && ok2 && te.Eps() < oe.Eps()
 }
 
-// absorb folds old into tgt when that preserves both budgets' meaning:
-// a plain MERGE when the configurations match, a RetargetMerge
-// (widening tgt to max(ε_tgt, ε_old)) when tgt's budget is not finer.
-// It reports false when the data must be frozen instead — merging a
-// coarse old summary into a finer target would silently pin the whole
-// sketch at the old ε forever; freezing lets new data earn the finer
-// budget while the old data keeps its own.
-func absorb(tgt, old core.Summary) bool {
+// mergeOrWiden folds old into tgt: a plain MERGE when the
+// configurations match, else a RetargetMerge widening tgt's budget to
+// max(ε_tgt, ε_old).
+func mergeOrWiden(tgt, old core.Summary) bool {
 	if m, ok := tgt.(core.Mergeable); ok && m.MergeSummary(old) == nil {
 		return true
 	}
+	r, ok := tgt.(core.Retargetable)
+	return ok && r.RetargetMerge(old) == nil
+}
+
+// absorb is mergeOrWiden restricted to folds that preserve both
+// budgets' meaning: a finer tgt takes only a plain MERGE. It reports
+// false when the data must be frozen instead — merging a coarse old
+// summary into a finer target would silently pin the whole sketch at
+// the old ε forever; freezing lets new data earn the finer budget while
+// the old data keeps its own.
+func absorb(tgt, old core.Summary) bool {
 	if finerThan(tgt, old) {
-		return false
+		m, ok := tgt.(core.Mergeable)
+		return ok && m.MergeSummary(old) == nil
 	}
-	if r, ok := tgt.(core.Retargetable); ok && r.RetargetMerge(old) == nil {
-		return true
-	}
-	return false
+	return mergeOrWiden(tgt, old)
 }
 
 // mergeFold is drain's fold for Reshard, which only merges: the

@@ -78,14 +78,12 @@ type queryCache struct {
 
 // invalidate drops the cached fold. Elastic operations call it under
 // the topology write lock; readers that raced past the generation swap
-// are still safe because validFor rechecks the generation id.
+// are still safe because current rechecks the generation id.
 func (q *queryCache) invalidate() { q.cur.Store(nil) }
 
 // shardSet abstracts a shard array for the fold machinery.
 type shardSet interface {
 	numShards() int
-	// shardEpoch loads shard i's write epoch without taking its lock.
-	shardEpoch(i int) uint64
 	// withShard runs fn under shard i's lock and returns the epoch
 	// observed while holding it.
 	withShard(i int, fn func(s core.Summary)) uint64
@@ -108,15 +106,24 @@ type elasticSet interface {
 	retiredComps() []*retiredComp
 	// topoRLock takes the topology read lock and returns the unlock.
 	topoRLock() func()
+	// current reports, without taking a lock, whether nothing
+	// observable changed since e was folded: same topology generation,
+	// same retired components, and no shard written. The epoch vector
+	// is per-shard consistent (each entry was read under its shard's
+	// lock at the moment that shard was folded), so a full match means
+	// the fold equals one performed now. Generations are immutable, so
+	// a matching genID guarantees the epoch vector indexes the same
+	// shard array it was built from.
+	current(e *combinedEntry) bool
 }
 
 // combinedEntry is one cached fold of the whole container. Exactly one
 // of the three live-shard artifact shapes is populated:
 //
 //   - qs: exact snapshot of the merged summary (mergeable Snapshotter
-//     families — KLL, MRL99, Random, QDigest). Queries never touch the
-//     merged summary itself, which matters for QDigest, whose queries
-//     flush.
+//     families — KLL, MRL99, Random, QDigest), or of a lone shard's own
+//     summary (every Snapshotter family). Queries never touch the
+//     summary itself, which matters for QDigest, whose queries flush.
 //   - sum: the merged summary, queried directly (mergeable
 //     non-Snapshotter families — the dyadic sketches, whose queries are
 //     pure reads).
@@ -147,24 +154,26 @@ type combinedEntry struct {
 // entry returns a fold of the container valid for its current topology
 // and epochs, rebuilding at most once per write generation; nil when
 // the family supports neither folding shape (GKBiased) and the caller
-// must fold the live shards itself.
+// must fold the live shards itself. A lone shard — one shard, no frozen
+// component — is never folded: its artifact is the shard's own exact
+// snapshot, so it answers exactly like its summary, and without one
+// entry returns nil and the caller queries the live summary under the
+// shard lock (base's loneLocked).
 func (q *queryCache) entry(set elasticSet) *combinedEntry {
-	if e := q.cur.Load(); e != nil && e.validFor(set) {
+	if e := q.cur.Load(); e != nil && set.current(e) {
 		return e
 	}
 	defer set.topoRLock()()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if e := q.cur.Load(); e != nil && e.validFor(set) {
+	if e := q.cur.Load(); e != nil && set.current(e) {
 		return e // another query rebuilt first
 	}
 	g := set.currentGen()
 	caps := g.capabilities()
-	if !caps.mergeable && !caps.snapAll {
-		return nil
-	}
+	lone := g.numShards() == 1 && len(set.retiredComps()) == 0
 	var e *combinedEntry
-	if caps.mergeable {
+	if caps.mergeable && !lone {
 		e = rebuildCombined(g)
 	}
 	if e == nil && caps.snapAll {
@@ -172,6 +181,9 @@ func (q *queryCache) entry(set elasticSet) *combinedEntry {
 	}
 	if e == nil {
 		return nil
+	}
+	if lone {
+		e.qs, e.snaps = e.snaps[0], nil
 	}
 	e.genID = g.genID()
 	e.retVer = set.retiredVer()
@@ -183,26 +195,6 @@ func (q *queryCache) entry(set elasticSet) *combinedEntry {
 	}
 	q.cur.Store(e)
 	return e
-}
-
-// validFor reports whether nothing observable changed since the fold:
-// same topology generation, same retired components, and no shard
-// written. The epoch vector is per-shard consistent (each entry was
-// read under its shard's lock at the moment that shard was folded), so
-// a full match means the fold equals one performed now. Generations are
-// immutable, so a matching genID guarantees the epoch vector indexes
-// the same shard array it was built from.
-func (e *combinedEntry) validFor(set elasticSet) bool {
-	g := set.currentGen()
-	if g.genID() != e.genID || set.retiredVer() != e.retVer {
-		return false
-	}
-	for i, ep := range e.epochs {
-		if g.shardEpoch(i) != ep {
-			return false
-		}
-	}
-	return true
 }
 
 // mergedFold folds all shards of g into one fresh summary by parallel
@@ -440,8 +432,12 @@ func rankQuantile(n int64, rank func(uint64) int64, phi float64) uint64 {
 // set per bit level instead of one rank probe per (query, level) — so a
 // batch over live shards costs 64 lock sweeps total rather than 64 per
 // fraction. Each query's probe sequence is exactly its solo descent, so
-// results are byte-identical to per-φ rankQuantile.
+// results are byte-identical to per-φ rankQuantile. Like the snapshot
+// and summary paths, it validates every fraction first.
 func rankQuantileBatch(n int64, rankBatch func([]uint64) []int64, phis []float64) []uint64 {
+	for _, phi := range phis {
+		core.CheckPhi(phi)
+	}
 	if n <= 0 {
 		panic(core.ErrEmpty)
 	}

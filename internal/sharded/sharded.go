@@ -28,7 +28,9 @@
 // per factory, every shard carries a write epoch, and the combined
 // artifact (merged summary or exact per-shard snapshots) is reused
 // lock-free across queries until some shard is written again — see
-// query.go.
+// query.go. A lone shard (P = 1, no frozen component) is not combined
+// at all: it answers exactly like its summary, which makes the Safe
+// wrappers the one-shard case (One, one.go).
 //
 // Both containers embed one generic core, base[S] (base.go), holding
 // everything that does not depend on the stream model; CashRegister and

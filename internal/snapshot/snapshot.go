@@ -1,97 +1,13 @@
-// Package snapshot provides epoch-guarded caching of flattened query
-// snapshots (core.QuerySnapshot): a write-epoch counter is bumped by
-// the owning wrapper on every mutation, and readers reuse a previously
-// built snapshot only while its epoch still matches — so repeated
-// queries between writes are lock-free O(log s) binary searches, and
-// the first query after a write rebuilds.
-//
-// The protocol (see DESIGN.md "Query snapshots"):
-//
-//   - The owner calls Invalidate() while holding its write lock, before
-//     mutating the summary.
-//   - A reader calls Current(); a non-nil result is immutable and safe
-//     to query without any lock.
-//   - On nil, the reader takes the owner's query lock (shared for pure
-//     readers, exclusive for Flusher summaries), re-checks Current()
-//     (another reader may have rebuilt first), and otherwise calls
-//     Rebuild.
-//
-// Correctness of the lock-free fast path: Store records the epoch
-// observed before the snapshot was built, while the builder held a lock
-// that excludes writers — so epoch E's snapshot reflects every write
-// that completed before E. A reader that loads the entry and then sees
-// the live epoch still equal to the entry's has a guarantee that no
-// write *completed* in between (completed writes bump the counter under
-// the write lock first, and Go atomics are sequentially consistent); a
-// write still in flight has not yet mutated anything the snapshot
-// depends on, and serializing the query before it is linearizable.
+// Package snapshot provides caller-driven views over flattened query
+// snapshots (core.QuerySnapshot): approximate grid snapshots for
+// summaries without an exact flattening (BuildGrid, AppendGrid), and a
+// single-goroutine caching view for query-heavy loops (Cached). The
+// library's concurrent epoch cache, which the Safe wrappers and the
+// sharded containers share, lives in internal/sharded (query.go); see
+// DESIGN.md "Query snapshots".
 package snapshot
 
-import (
-	"sync/atomic"
-
-	"streamquantiles/internal/core"
-)
-
-// Cache pairs a write-epoch counter with the snapshot built at some
-// epoch. The zero value is ready to use.
-type Cache struct {
-	epoch atomic.Uint64
-	cur   atomic.Pointer[entry]
-}
-
-type entry struct {
-	epoch uint64
-	qs    *core.QuerySnapshot
-}
-
-// Invalidate bumps the write epoch, retiring any cached snapshot. The
-// owner must call it under its write lock, before mutating the summary.
-func (c *Cache) Invalidate() { c.epoch.Add(1) }
-
-// Epoch returns the current write epoch.
-func (c *Cache) Epoch() uint64 { return c.epoch.Load() }
-
-// Current returns the cached snapshot when it is still valid for the
-// current epoch, or nil when a write has retired it. The returned
-// snapshot is immutable; no lock is needed to query it.
-func (c *Cache) Current() *core.QuerySnapshot {
-	e := c.cur.Load()
-	if e == nil || e.epoch != c.epoch.Load() {
-		return nil
-	}
-	return e.qs
-}
-
-// Rebuild materializes a fresh snapshot of s and caches it under the
-// current epoch. The caller must hold a lock that excludes writers for
-// the duration of the call (the shared query lock suffices; Flusher
-// summaries need the exclusive lock, as for any query). Concurrent
-// Rebuild calls under a shared lock are safe: they build identical
-// snapshots and the last Store wins.
-//
-// The retired snapshot is deliberately NOT recycled into the new build
-// (no AppendQuerySnapshot over the old arrays, no pool): readers that
-// loaded it lock-free just before the epoch bump may still be mid
-// binary search, so its arrays must stay immutable until the GC
-// reclaims them. Capacity reuse is only sound where a single goroutine
-// owns the snapshot — see Cached.
-func (c *Cache) Rebuild(s core.Snapshotter) *core.QuerySnapshot {
-	epoch := c.Epoch()
-	qs := core.BuildQuerySnapshot(s)
-	c.cur.Store(&entry{epoch: epoch, qs: qs})
-	return qs
-}
-
-// For returns a fresh Cache when s supports exact snapshots
-// (core.Snapshotter), nil otherwise — the capability probe the Safe
-// wrappers run at construction and again after a Retarget swap.
-func For(s core.Summary) *Cache {
-	if _, ok := s.(core.Snapshotter); ok {
-		return new(Cache)
-	}
-	return nil
-}
+import "streamquantiles/internal/core"
 
 // BuildGrid materializes an approximate snapshot of an arbitrary
 // summary by probing it on the even φ-grid of spacing gridEps: the
@@ -141,12 +57,12 @@ func AppendGrid(qs *core.QuerySnapshot, s core.Summary, gridEps float64) {
 // snapshot on first query — exact when the summary implements
 // core.Snapshotter, grid-based otherwise — and reuses it until the
 // caller signals a write with Invalidate. For concurrent use, wrap the
-// summary in a Safe* wrapper instead, which drives a Cache under its
-// own locks.
+// summary in a Safe* wrapper instead, whose epoch cache builds exact
+// snapshots under the summary's lock.
 // Being single-goroutine is also what lets Cached recycle: Invalidate
 // only marks the snapshot stale, and the next query rebuilds *into the
 // same QuerySnapshot*, reusing its column capacity — the allocation-free
-// invalidate/rebuild cycle the Cache type must forgo (its retired
+// invalidate/rebuild cycle a concurrent cache must forgo (its retired
 // snapshots may still be read lock-free).
 type Cached struct {
 	s       core.Summary

@@ -1,6 +1,7 @@
 package streamquantiles
 
 import (
+	"encoding"
 	"errors"
 	"sync"
 	"testing"
@@ -46,46 +47,100 @@ func TestSafeCashRegisterConcurrent(t *testing.T) {
 	}
 }
 
-// TestSafeFlusherDetection pins the lock-mode selection: summaries that
-// flush buffered work at query time must be detected and demoted to
-// exclusive reads; pure-reader summaries must keep shared reads.
-func TestSafeFlusherDetection(t *testing.T) {
-	flushing := map[string]CashRegister{
-		"GKArray":  NewGKArray(0.01),
-		"GKBiased": NewGKBiased(0.01),
-		"QDigest":  NewQDigest(0.01, 16),
+// TestSafeFlushersConcurrent drives each summary whose queries flush
+// buffered work (GKArray, GKBiased, QDigest) with concurrent readers
+// and a writer. Under -race this is the proof that the wrapper's one
+// exclusive lock covers query-time flushes.
+func TestSafeFlushersConcurrent(t *testing.T) {
+	data := batchTestData(20000)
+	for name, fresh := range map[string]func() CashRegister{
+		"GKArray": func() CashRegister { return NewGKArray(0.01) },
+		"QDigest": func() CashRegister { return NewQDigest(0.01, 16) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			hammerSafe(t, NewSafeCashRegister(fresh()), fresh(), data)
+		})
 	}
-	for name, s := range flushing {
-		if !NewSafeCashRegister(s).exclusiveReads.Load() {
-			t.Errorf("%s flushes on query but was given shared reads", name)
+	t.Run("GKBiased", func(t *testing.T) {
+		hammerSafe(t, NewSafeCashRegister(NewGKBiased(0.01)), nil, data)
+	})
+}
+
+// hammerSafe feeds data to s from one writer, alternating batches and
+// single updates, while readers run the query mix, and then checks the
+// answers. A query that flushes changes a Flusher's state (where its
+// buffer merges decides what it compresses), so a twin fed the stream
+// separately need not match. Instead s must hold every element, answer
+// within ε of the truth, and — when twin is an empty summary of the
+// family — answer exactly like twin restored from s's own Snapshot:
+// what s serves from its epoch cache is what the summary it holds says.
+func hammerSafe(t *testing.T, s *SafeCashRegister, twin CashRegister, data []uint64) {
+	t.Helper()
+	const readers = 3
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	phis := EvenPhis(0.05)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if s.Count() == 0 {
+					continue
+				}
+				_ = s.Rank(s.Quantile(0.5))
+				_ = s.QuantileBatch(phis)
+				_ = s.RankBatch(data[:8])
+				_ = s.SpaceBytes()
+			}
+		}()
+	}
+	for i := 0; i < len(data); i += 100 {
+		chunk := data[i:min(i+100, len(data))]
+		if i%200 == 0 {
+			s.UpdateBatch(chunk)
+			continue
+		}
+		for _, x := range chunk {
+			s.Update(x)
 		}
 	}
-	pure := map[string]CashRegister{
-		"GKAdaptive": NewGKAdaptive(0.01),
-		"GKTheory":   NewGKTheory(0.01),
-		"MRL99":      NewMRL99(0.01, 1),
-		"Random":     NewRandom(0.01, 1),
-		"KLL":        NewKLL(0.01, 1),
-		"Windowed":   NewWindowed(0.05, 1000, 1),
+	close(stop)
+	wg.Wait()
+	if s.Count() != int64(len(data)) {
+		t.Fatalf("count %d, want %d", s.Count(), len(data))
 	}
-	for name, s := range pure {
-		if NewSafeCashRegister(s).exclusiveReads.Load() {
-			t.Errorf("%s is a pure reader at query time but was demoted to exclusive reads", name)
-		}
+	sorted := sortedCopy(data)
+	for _, phi := range []float64{0.1, 0.5, 0.9} {
+		rankWithinEps(t, sorted, phi, s.Quantile(phi), int64(0.01*float64(len(data)))+1)
 	}
-	if NewSafeTurnstile(NewDCS(0.05, 12, DyadicConfig{Seed: 1})).exclusiveReads.Load() {
-		t.Error("DCS is a pure reader at query time but was demoted to exclusive reads")
+	if twin == nil {
+		return
 	}
+	blob, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.(encoding.BinaryUnmarshaler).UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	matchOneShard(t, "after concurrent use", s, twin)
 }
 
 // TestSafeConcurrentReadersAndWriter drives dedicated reader goroutines
-// against a continuous writer, for both lock regimes. Under -race this
-// is the proof that shared-read queries are actually sound: a summary
-// that mutated during an RLocked query would be flagged immediately.
+// against a continuous writer, on a summary whose queries are pure
+// reads and on one whose queries flush buffered work. Under -race this
+// is the proof that lock-free snapshot queries are sound: a query that
+// touched the live summary outside the shard lock would be flagged.
 func TestSafeConcurrentReadersAndWriter(t *testing.T) {
 	summaries := map[string]CashRegister{
-		"KLL-sharedreads":        NewKLL(0.02, 7),  // pure reader: RLock path
-		"GKArray-exclusivereads": NewGKArray(0.02), // Flusher: Lock path
+		"KLL-sharedreads":        NewKLL(0.02, 7),  // pure reader
+		"GKArray-exclusivereads": NewGKArray(0.02), // Flusher
 	}
 	for name, inner := range summaries {
 		t.Run(name, func(t *testing.T) {
@@ -135,7 +190,7 @@ func TestSafeConcurrentReadersAndWriter(t *testing.T) {
 
 // TestSafeCheckpointWhileUpdating checkpoints a summary repeatedly while
 // writers hammer it. Under -race this pins the Snapshot contract: marshal
-// runs under the shared lock and must therefore be read-only. Every
+// runs under the summary's lock, beside lock-free snapshot queries. Every
 // published generation must decode into a self-consistent summary whose
 // count reflects some prefix of the concurrent stream.
 func TestSafeCheckpointWhileUpdating(t *testing.T) {
@@ -143,8 +198,8 @@ func TestSafeCheckpointWhileUpdating(t *testing.T) {
 		name  string
 		fresh func() CashRegister
 	}{
-		// One pure reader (shared-lock queries) and one Flusher
-		// (exclusive queries, marshals its un-flushed buffer).
+		// One pure reader and one Flusher (marshals its un-flushed
+		// buffer).
 		{"KLL", func() CashRegister { return NewKLL(0.02, 7) }},
 		{"GKArray", func() CashRegister { return NewGKArray(0.02) }},
 	} {

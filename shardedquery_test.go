@@ -1,6 +1,8 @@
 package streamquantiles
 
 import (
+	"bytes"
+	"encoding"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -102,9 +104,10 @@ func TestShardedFoldCacheReuse(t *testing.T) {
 // TestShardedParallelMergeMatchesManualFold replays the fold by hand —
 // one fresh summary per shard fed that shard's exact round-robin
 // share, reduced in the same pairwise tree order — and requires the
-// sharded summary's cached-fold answers to match exactly. With P=1
-// this also pins the degenerate case: a single-shard summary answers
-// exactly like its unsharded twin.
+// sharded summary's cached-fold answers to match exactly. Its P=1
+// clause pins the degenerate case for every registered summary: a
+// one-shard container and a Safe wrapper answer exactly like their
+// unsharded twin (checkOneShardIdentity).
 func TestShardedParallelMergeMatchesManualFold(t *testing.T) {
 	const p, chunk = 4, 1000
 	data := batchTestData(24000)
@@ -144,20 +147,170 @@ func TestShardedParallelMergeMatchesManualFold(t *testing.T) {
 		}
 	}
 
-	single := mustShardedCash(t, 1, func() CashRegister { return NewKLL(0.01, 7) })
-	twin := NewKLL(0.01, 7)
-	feedBatches(single.UpdateBatch, data)
-	feedBatches(twin.UpdateBatch, data)
-	fold := NewKLL(0.01, 7)
-	if err := fold.MergeSummary(twin); err != nil {
-		t.Fatal(err)
+	for _, f := range oneShardFamilies {
+		t.Run("P=1/"+f.name, func(t *testing.T) { checkOneShardIdentity(t, f, data) })
 	}
-	want = QuantileBatch(fold, phis)
-	for i, q := range single.QuantileBatch(phis) {
-		if q != want[i] {
-			t.Errorf("P=1 sharded Quantile(%v) = %d, merged twin = %d", phis[i], q, want[i])
+}
+
+// oneShardFamily builds one registered summary at a given ε, through
+// whichever of the two stream models it implements.
+type oneShardFamily struct {
+	name string
+	eps  float64
+	cash func(eps float64) CashRegister
+	turn func(eps float64) Turnstile
+}
+
+func (f oneShardFamily) fresh(eps float64) Summary {
+	if f.cash != nil {
+		return f.cash(eps)
+	}
+	return f.turn(eps)
+}
+
+// oneShardFamilies lists every registered summary: the eight
+// cash-register families, Windowed and the three dyadic sketches.
+var oneShardFamilies = []oneShardFamily{
+	{name: "GKAdaptive", eps: 0.01, cash: func(e float64) CashRegister { return NewGKAdaptive(e) }},
+	{name: "GKTheory", eps: 0.01, cash: func(e float64) CashRegister { return NewGKTheory(e) }},
+	{name: "GKArray", eps: 0.01, cash: func(e float64) CashRegister { return NewGKArray(e) }},
+	{name: "GKBiased", eps: 0.01, cash: func(e float64) CashRegister { return NewGKBiased(e) }},
+	{name: "QDigest", eps: 0.01, cash: func(e float64) CashRegister { return NewQDigest(e, 16) }},
+	{name: "MRL99", eps: 0.01, cash: func(e float64) CashRegister { return NewMRL99(e, 7) }},
+	{name: "Random", eps: 0.01, cash: func(e float64) CashRegister { return NewRandom(e, 7) }},
+	{name: "KLL", eps: 0.01, cash: func(e float64) CashRegister { return NewKLL(e, 7) }},
+	{name: "Windowed", eps: 0.05, cash: func(e float64) CashRegister { return NewWindowed(e, 5000, 7) }},
+	{name: "DCM", eps: 0.05, turn: func(e float64) Turnstile { return NewDCM(e, 16, DyadicConfig{Seed: 7}) }},
+	{name: "DCS", eps: 0.05, turn: func(e float64) Turnstile { return NewDCS(e, 16, DyadicConfig{Seed: 7}) }},
+	{name: "DRSS", eps: 0.05, turn: func(e float64) Turnstile { return NewDRSS(e, 16, DyadicConfig{Seed: 7}) }},
+}
+
+// feedOneShard applies the same write sequence to every target: batches
+// and single updates for a cash register; for a turnstile, inserts of
+// all of data followed by deletions of every third element, so the
+// stream stays strict.
+func feedOneShard(data []uint64, targets ...Summary) {
+	for _, s := range targets {
+		switch u := s.(type) {
+		case CashRegister:
+			feedBatches(func(xs []uint64) { core.UpdateBatch(u, xs) }, data[:len(data)/2])
+			for _, x := range data[len(data)/2:] {
+				u.Update(x)
+			}
+		case Turnstile:
+			feedBatches(func(xs []uint64) { core.InsertBatch(u, xs) }, data)
+			for i, x := range data {
+				if i%3 == 0 {
+					u.Delete(x)
+				}
+			}
 		}
 	}
+}
+
+// matchOneShard requires got to answer Quantile, QuantileBatch, Rank
+// and RankBatch byte for byte like twin.
+func matchOneShard(t *testing.T, label string, got, twin Summary) {
+	t.Helper()
+	phis := EvenPhis(0.01)
+	probes := make([]uint64, 0, 256)
+	for x := uint64(0); x < 1<<16; x += 257 {
+		probes = append(probes, x)
+	}
+	want, gotB := QuantileBatch(twin, phis), QuantileBatch(got, phis)
+	wantR, gotR := RankBatch(twin, probes), RankBatch(got, probes)
+	bad := 0
+	for i, phi := range phis {
+		if q, w := got.Quantile(phi), twin.Quantile(phi); q != w || gotB[i] != want[i] {
+			bad++
+			if bad <= 3 {
+				t.Errorf("%s: Quantile(%v) = %d, QuantileBatch = %d; twin %d, %d", label, phi, q, gotB[i], w, want[i])
+			}
+		}
+	}
+	for i, x := range probes {
+		if r, w := got.Rank(x), twin.Rank(x); r != w || gotR[i] != wantR[i] {
+			bad++
+			if bad <= 3 {
+				t.Errorf("%s: Rank(%d) = %d, RankBatch = %d; twin %d, %d", label, x, r, gotR[i], w, wantR[i])
+			}
+		}
+	}
+	if bad > 3 {
+		t.Errorf("%s: %d answers differ from the unsharded twin", label, bad)
+	}
+}
+
+// checkOneShardIdentity pins the one-shard case: a P=1 sharded container
+// and a Safe wrapper, fed the same stream as an unsharded twin, answer
+// exactly like it — after writes, after a Safe Restore of the wrapper's
+// own encoding (which must be the twin's), and after a Safe Retarget to
+// a coarser ε with the twin absorbed the same way.
+func checkOneShardIdentity(t *testing.T, f oneShardFamily, data []uint64) {
+	twin := f.fresh(f.eps)
+	var p1, safe, blank Summary
+	if f.cash != nil {
+		p1 = mustShardedCash(t, 1, func() CashRegister { return f.cash(f.eps) })
+		safe, blank = NewSafeCashRegister(f.cash(f.eps)), NewSafeCashRegister(f.cash(f.eps))
+	} else {
+		p1 = mustShardedTurn(t, 1, func() Turnstile { return f.turn(f.eps) })
+		safe, blank = NewSafeTurnstile(f.turn(f.eps)), NewSafeTurnstile(f.turn(f.eps))
+	}
+	feedOneShard(data, twin, p1, safe)
+	matchOneShard(t, "P=1 sharded", p1, twin)
+	matchOneShard(t, "Safe", safe, twin)
+
+	type safeCodec interface {
+		Snapshot() ([]byte, error)
+		Restore([]byte) error
+	}
+	if m, ok := twin.(encoding.BinaryMarshaler); ok {
+		want, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := safe.(safeCodec).Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, want) {
+			t.Fatalf("Safe Snapshot is %d bytes, not the twin's own %d-byte encoding", len(blob), len(want))
+		}
+		if err := blank.(safeCodec).Restore(blob); err != nil {
+			t.Fatal(err)
+		}
+		matchOneShard(t, "Safe after Restore", blank, twin)
+	}
+
+	// Retarget to a coarser ε of the same family: the twin is absorbed
+	// into a fresh coarse summary by merge or retarget-merge; with no
+	// absorb path the Safe Retarget must fail and change nothing.
+	coarse := f.fresh(2 * f.eps)
+	absorbed := false
+	if m, ok := coarse.(core.Mergeable); ok && m.MergeSummary(twin) == nil {
+		absorbed = true
+	} else if r, ok := coarse.(core.Retargetable); ok && r.RetargetMerge(twin) == nil {
+		absorbed = true
+	}
+	var err error
+	switch s := safe.(type) {
+	case *SafeCashRegister:
+		err = s.Retarget(f.cash(2 * f.eps))
+	case *SafeTurnstile:
+		err = s.Retarget(f.turn(2 * f.eps))
+	}
+	if !absorbed {
+		if err == nil {
+			t.Fatal("Safe Retarget succeeded where the twin has no absorb path")
+		}
+		matchOneShard(t, "Safe after a refused Retarget", safe, twin)
+		return
+	}
+	if err != nil {
+		t.Fatalf("Safe Retarget: %v", err)
+	}
+	feedOneShard(data[:len(data)/4], coarse, safe)
+	matchOneShard(t, "Safe after Retarget and more writes", safe, coarse)
 }
 
 // TestShardedGKCombinedRankBound measures the additive GK combination
