@@ -69,6 +69,7 @@ func TestUpdateBatchByteIdentical(t *testing.T) {
 		fresh func() cashCodec
 	}{
 		{"gkarray", func() cashCodec { return NewGKArray(0.01) }},
+		{"gkbiased", func() cashCodec { return NewGKBiased(0.01) }},
 		{"qdigest", func() cashCodec { return NewQDigest(0.01, 16) }},
 		{"mrl99", func() cashCodec { return NewMRL99(0.01, 7) }},
 		{"random", func() cashCodec { return NewRandom(0.01, 7) }},
@@ -147,35 +148,6 @@ func TestInsertDeleteBatchByteIdentical(t *testing.T) {
 	}
 }
 
-// TestGKBiasedBatchIdenticalAnswers: GKBiased's batch path stages into
-// the same buffer the per-item path uses and flushes at the same
-// points, so while it has no codec to compare, every query answer must
-// match exactly.
-func TestGKBiasedBatchIdenticalAnswers(t *testing.T) {
-	data := batchTestData(30000)
-	ref, got := NewGKBiased(0.01), NewGKBiased(0.01)
-	for _, x := range data {
-		ref.Update(x)
-	}
-	feedBatches(got.UpdateBatch, data)
-	if err := CheckInvariants(got); err != nil {
-		t.Fatalf("invariants after UpdateBatch: %v", err)
-	}
-	if ref.Count() != got.Count() {
-		t.Fatalf("count %d vs %d", got.Count(), ref.Count())
-	}
-	for _, phi := range []float64{0.001, 0.01, 0.1, 0.5, 0.9, 0.999} {
-		if r, g := ref.Quantile(phi), got.Quantile(phi); r != g {
-			t.Errorf("Quantile(%v) = %d, per-item %d", phi, g, r)
-		}
-	}
-	for probe := uint64(0); probe < 1<<16; probe += 997 {
-		if r, g := ref.Rank(probe), got.Rank(probe); r != g {
-			t.Errorf("Rank(%d) = %d, per-item %d", probe, g, r)
-		}
-	}
-}
-
 // rankWithinEps checks the ε-approximate quantile contract directly
 // against the sorted stream: the answer's rank interval must intersect
 // [target−tol, target+tol].
@@ -226,18 +198,39 @@ func TestGKCompressingBatchWithinEps(t *testing.T) {
 	}
 }
 
+// perItemOnly is a CashRegister with no native batch path: embedding
+// the interface hides the wrapped summary's UpdateBatch. It counts the
+// per-element updates it receives.
+type perItemOnly struct {
+	CashRegister
+	updates int
+}
+
+func (p *perItemOnly) Update(x uint64) {
+	p.updates++
+	p.CashRegister.Update(x)
+}
+
 // TestBatchDispatchFallback: core.UpdateBatch must fall back to a
-// per-element loop for summaries without a native batch path; Windowed
-// is the one registered summary that has none.
+// per-element loop for summaries without a native batch path, and that
+// loop must leave the summary exactly as per-item Update would.
 func TestBatchDispatchFallback(t *testing.T) {
-	w := NewWindowed(0.05, 1000, 7)
+	w := &perItemOnly{CashRegister: NewGKArray(0.01)}
 	if _, ok := interface{}(w).(BatchCashRegister); ok {
-		t.Skip("Windowed grew a native batch path; fallback no longer exercised here")
+		t.Fatal("perItemOnly must not implement BatchCashRegister")
 	}
+	twin := NewGKArray(0.01)
 	data := batchTestData(5000)
 	feedBatches(func(xs []uint64) { UpdateBatch(w, xs) }, data)
-	// Count covers at least W and at most W + blockSize − 1 elements.
-	if n := w.Count(); n < 1000 || n >= 1000+w.BlockSize() {
-		t.Fatalf("windowed count %d after fallback batches, want [1000, %d)", n, 1000+w.BlockSize())
+	for _, x := range data {
+		twin.Update(x)
+	}
+	if w.updates != len(data) || w.Count() != twin.Count() {
+		t.Fatalf("fallback made %d updates, count %d; want %d, %d", w.updates, w.Count(), len(data), twin.Count())
+	}
+	for _, phi := range EvenPhis(0.01) {
+		if got, want := w.Quantile(phi), twin.Quantile(phi); got != want {
+			t.Fatalf("phi=%v: fallback answers %d, per-item twin %d", phi, got, want)
+		}
 	}
 }

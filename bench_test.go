@@ -80,7 +80,6 @@ func BenchmarkAblationPostFallback(b *testing.B)   { reportFigure(b, harness.Exp
 // Extension experiments (DESIGN.md: beyond the paper's evaluation).
 
 func BenchmarkExtBiased(b *testing.B) { reportFigure(b, harness.ExpExtBiased) }
-func BenchmarkExtWindow(b *testing.B) { reportFigure(b, harness.ExpExtWindow) }
 func BenchmarkExtKLL(b *testing.B)    { reportFigure(b, harness.ExpExtKLL) }
 
 func BenchmarkUpdateKLL(b *testing.B)      { benchUpdates(b, NewKLL(0.001, 1)) }

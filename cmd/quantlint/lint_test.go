@@ -103,7 +103,7 @@ func TestEachRuleFiresExactlyOnce(t *testing.T) {
 		"internal/sq010":      "SQ010",
 		"internal/sq011":      "SQ011",
 		"internal/sq012":      "SQ012",
-		"internal/sq013":      "SQ013", // anchored at the target's MarshalBinary
+		"internal/sq013":      "SQ013", // anchored at the targets' MarshalBinary and Update
 		"internal/gk":         "SQ009", // the columnar-layout half fires at a columnar path
 		"internal/sharded":    "SQ014", // the placement rule fires at its scoped path
 		"internal/checkpoint": "SQ015", // the fan-out rule fires at its scoped path

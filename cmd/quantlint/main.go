@@ -14,9 +14,9 @@
 // atomics). SQ010–SQ013 are type-aware: guarded-by
 // lock discipline over `// guarded by mu` field annotations, unlock-
 // path soundness over an intra-function CFG, ε-budget propagation
-// through Merge implementations, and codec parity (marshal implies
-// unmarshal + golden fixture + fuzz/crash-matrix seed) computed from
-// the registry itself. Run `quantlint -rules` for the catalog.
+// through Merge implementations, and codec parity (writes imply a
+// codec; marshal implies unmarshal + golden fixture + fuzz/crash-matrix
+// seed) computed from the registry itself. Run `quantlint -rules` for the catalog.
 //
 // Usage:
 //

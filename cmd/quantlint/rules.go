@@ -35,7 +35,7 @@ var ruleTable = []ruleInfo{
 	{"SQ010", "guarded-by discipline: a read or write of a field annotated `// guarded by mu` must hold that mutex (Lock/RLock dominates the access); constructors are exempt", (*linter).checkSQ010},
 	{"SQ011", "unlock-path soundness: every Lock/RLock is released on all CFG paths out of the function, via defer or a post-dominating Unlock", (*linter).checkSQ011},
 	{"SQ012", "eps-budget propagation: a Merge implementation must derive the result eps via max/documented additive helpers, never copy one operand's eps or a fresh literal", (*linter).checkSQ012},
-	{"SQ013", "codec parity: every registered summary with MarshalBinary has UnmarshalBinary, a golden fixture under testdata/golden/, and a fuzz/crash-matrix seed", (*linter).checkSQ013},
+	{"SQ013", "codec parity: every registered summary that accepts writes (or has MarshalBinary) has MarshalBinary and UnmarshalBinary, a golden fixture under testdata/golden/, and a fuzz/crash-matrix seed", (*linter).checkSQ013},
 	{"SQ014", "memory placement: structs holding mutexes or atomics stored by value in a slice in internal/sharded must carry a cache-line pad, and no package-level atomics on the write path", (*linter).checkSQ014},
 	{"SQ015", "fan-out discipline: goroutine spawns in internal/sharded and internal/checkpoint bound loop fan-out by runtime.GOMAXPROCS, join every spawn on all paths out (a deferred Wait counts), and never discard a worker's error", (*linter).checkSQ015},
 }

@@ -1,5 +1,5 @@
-// SQ013 — codec parity: a summary that can marshal must be fully wired
-// into the round-trip safety net.
+// SQ013 — codec parity: a summary that accepts writes must be fully
+// wired into the round-trip safety net.
 package main
 
 import (
@@ -12,10 +12,13 @@ import (
 	"strings"
 )
 
-// checkSQ013 computes, from the registry itself, the set of
-// codec-bearing summaries (registered aliases whose target type has
-// MarshalBinary) and checks each is fully wired:
+// checkSQ013 computes, from the registry itself, the set of summaries
+// owing a codec — registered aliases whose target type accepts writes
+// (Update or Insert) or already has MarshalBinary — and checks each is
+// fully wired:
 //
+//   - a writable target has MarshalBinary — without it, Snapshot and
+//     Checkpoint fail on the summary at run time;
 //   - the target also implements UnmarshalBinary — a one-way codec
 //     makes checkpoints write-only;
 //   - every root constructor New<X> returning the alias has a golden
@@ -26,11 +29,12 @@ import (
 //     must exercise every codec, and that table is their single source
 //     of truth.
 //
-// All findings anchor at the target's MarshalBinary declaration: the
-// codec is the thing demanding the parity, and registering it is what
-// created the obligation. Computing the set from the registry (not a
-// hand-kept list) means adding a ninth codec summary without its
-// fixtures fails `make lint` on the spot.
+// A missing codec anchors at the target's write method, the rest at its
+// MarshalBinary declaration: accepting writes is what creates the
+// obligation, and the codec is what must then be wired. A read-only
+// registration (an OLS snapshot, say) owes nothing. Computing the set
+// from the registry (not a hand-kept list) means adding a writable
+// summary without its codec and fixtures fails `make lint` on the spot.
 func (l *linter) checkSQ013() {
 	for _, p := range l.pkgs {
 		if p.rel != "" {
@@ -47,9 +51,13 @@ func (l *linter) checkSQ013() {
 			for _, a := range l.registryAliases(p, f) {
 				methods := methodSet(a.target, a.typeName)
 				if !methods["MarshalBinary"] {
+					if methods["Update"] || methods["Insert"] {
+						l.report(methodPos(a.target, a.typeName, "Update", "Insert"), "SQ013", fmt.Sprintf(
+							"writable summary %s (= %s.%s) has no MarshalBinary: Snapshot and Checkpoint fail on it at run time; give it a codec, a golden fixture and a matrixSummaries entry", a.name, a.localPkg, a.typeName))
+					}
 					continue
 				}
-				pos := marshalPos(a.target, a.typeName)
+				pos := methodPos(a.target, a.typeName, "MarshalBinary")
 				if pos == token.NoPos {
 					pos = a.spec.Pos() // promoted method: anchor at the registration
 				}
@@ -150,16 +158,18 @@ func matrixNames(dir string) map[string]bool {
 	return set
 }
 
-// marshalPos finds the MarshalBinary declaration on typeName in the
-// target package; the parity findings anchor there.
-func marshalPos(p *pkgInfo, typeName string) token.Pos {
-	for _, f := range p.files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if ok && fd.Recv != nil && len(fd.Recv.List) == 1 &&
-				fd.Name.Name == "MarshalBinary" &&
-				receiverTypeName(fd.Recv.List[0].Type) == typeName {
-				return fd.Pos()
+// methodPos finds the declaration on typeName in the target package of
+// the first of names it declares; the parity findings anchor there.
+func methodPos(p *pkgInfo, typeName string, names ...string) token.Pos {
+	for _, name := range names {
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if ok && fd.Recv != nil && len(fd.Recv.List) == 1 &&
+					fd.Name.Name == name &&
+					receiverTypeName(fd.Recv.List[0].Type) == typeName {
+					return fd.Pos()
+				}
 			}
 		}
 	}

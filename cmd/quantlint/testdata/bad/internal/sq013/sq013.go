@@ -1,6 +1,7 @@
-// Package sq013 trips exactly SQ013 via its registration in the root
+// Package sq013 trips exactly SQ013 via its registrations in the root
 // quantiles.go: HalfWired can marshal but not unmarshal, and has
-// neither a golden fixture nor a crash-matrix seed.
+// neither a golden fixture nor a crash-matrix seed; Codecless accepts
+// writes but has no codec at all.
 package sq013
 
 import "encoding/binary"
@@ -33,3 +34,22 @@ func (h *HalfWired) MarshalBinary() ([]byte, error) {
 	binary.BigEndian.PutUint64(buf, h.n)
 	return buf, nil
 }
+
+// Codecless is a writable counter summary with no binary encoding: a
+// checkpoint of it fails at run time.
+type Codecless struct {
+	n uint64
+}
+
+// Update ingests one element — the write method the missing-codec
+// finding anchors at.
+func (c *Codecless) Update(x uint64) { c.n++ }
+
+// Count reports the stream length.
+func (c *Codecless) Count() uint64 { return c.n }
+
+// Quantile answers every fraction with zero.
+func (c *Codecless) Quantile(phi float64) uint64 { return 0 }
+
+// Invariants keeps the sanitizer contract, so SQ005 stays quiet.
+func (c *Codecless) Invariants() error { return nil }

@@ -19,3 +19,7 @@ type HalfWired = sq013.HalfWired
 // NewHalfWired is the constructor whose key the golden-fixture and
 // matrix-seed checks derive.
 func NewHalfWired() *HalfWired { return sq013.New() }
+
+// Codecless accepts writes but has no codec: the SQ013 finding anchors
+// at its Update declaration.
+type Codecless = sq013.Codecless

@@ -4,6 +4,7 @@
 package good
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -42,5 +43,23 @@ func (g *Good) Invariants() error {
 	if g.n < 0 {
 		return fmt.Errorf("good: negative count %d", g.n)
 	}
+	return nil
+}
+
+// MarshalBinary encodes the count and the last element.
+func (g *Good) MarshalBinary() ([]byte, error) {
+	buf := make([]byte, 16)
+	binary.BigEndian.PutUint64(buf, uint64(g.n))
+	binary.BigEndian.PutUint64(buf[8:], g.last)
+	return buf, nil
+}
+
+// UnmarshalBinary decodes MarshalBinary's bytes.
+func (g *Good) UnmarshalBinary(data []byte) error {
+	if len(data) != 16 {
+		return fmt.Errorf("good: encoding is %d bytes, want 16", len(data))
+	}
+	g.n = int64(binary.BigEndian.Uint64(data))
+	g.last = binary.BigEndian.Uint64(data[8:])
 	return nil
 }

@@ -29,8 +29,9 @@ type checkpointable interface {
 	Checkable
 }
 
-// matrixSummaries lists every registered summary that owns a codec —
-// exactly the set RecoverCheckpointFunc can rebuild.
+// matrixSummaries lists every registered summary that accepts writes;
+// each owns a codec (quantlint rule SQ013), so this is exactly the set
+// RecoverCheckpointFunc can rebuild.
 var matrixSummaries = []struct {
 	name  string
 	fresh func() checkpointable
@@ -38,6 +39,7 @@ var matrixSummaries = []struct {
 	{"gkadaptive", func() checkpointable { return NewGKAdaptive(0.01) }},
 	{"gktheory", func() checkpointable { return NewGKTheory(0.01) }},
 	{"gkarray", func() checkpointable { return NewGKArray(0.01) }},
+	{"gkbiased", func() checkpointable { return NewGKBiased(0.01) }},
 	{"qdigest", func() checkpointable { return NewQDigest(0.01, 16) }},
 	{"mrl99", func() checkpointable { return NewMRL99(0.01, 7) }},
 	{"random", func() checkpointable { return NewRandom(0.01, 7) }},

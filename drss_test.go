@@ -24,17 +24,3 @@ func TestDRSSPublicAPI(t *testing.T) {
 		t.Errorf("count %d after deleting all", s.Count())
 	}
 }
-
-func TestSelectExactQuantilePublicAPI(t *testing.T) {
-	data := make([]uint64, 10000)
-	for i := range data {
-		data[i] = uint64(i)
-	}
-	v, _, err := SelectExactQuantile(SliceSource(data), 0.25, 1024, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 2500 {
-		t.Errorf("exact 0.25-quantile = %d, want 2500", v)
-	}
-}

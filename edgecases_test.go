@@ -97,32 +97,3 @@ func TestAlternatingInsertDeleteChurn(t *testing.T) {
 		t.Errorf("median %d outside the only live range [100,200)", med)
 	}
 }
-
-func TestSelectExactPublicAPI(t *testing.T) {
-	data := make([]uint64, 50000)
-	state := uint64(5)
-	for i := range data {
-		state = state*6364136223846793005 + 1442695040888963407
-		data[i] = state >> 32
-	}
-	v, stats, err := SelectExact(SliceSource(data), 25000, 2048, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Verify exactness by counting.
-	var below, eq int64
-	for _, x := range data {
-		if x < v {
-			below++
-		} else if x == v {
-			eq++
-		}
-	}
-	if !(below <= 25000 && 25000 < below+eq) {
-		t.Errorf("SelectExact returned %d with rank block [%d,%d), want to contain 25000",
-			v, below, below+eq)
-	}
-	if stats.Passes < 2 {
-		t.Errorf("suspicious pass count %d", stats.Passes)
-	}
-}

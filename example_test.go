@@ -103,32 +103,6 @@ func ExampleNewKLL() {
 	// true
 }
 
-// Sliding windows forget old data.
-func ExampleNewWindowed() {
-	w := sq.NewWindowed(0.05, 1000, 1)
-	for i := 0; i < 5000; i++ {
-		w.Update(1) // old regime
-	}
-	for i := 0; i < 1200; i++ {
-		w.Update(100) // new regime fills the window
-	}
-	fmt.Println(w.Quantile(0.5))
-	// Output:
-	// 100
-}
-
-// Exact selection with limited memory over a re-readable source.
-func ExampleSelectExact() {
-	data := make([]uint64, 10001)
-	for i := range data {
-		data[i] = uint64(i)
-	}
-	v, _, _ := sq.SelectExact(sq.SliceSource(data), 5000, 1024, 20)
-	fmt.Println(v)
-	// Output:
-	// 5000
-}
-
 // CDF extracts a whole distribution sketch in one call.
 func ExampleCDF() {
 	s := sq.NewGKArray(0.01)

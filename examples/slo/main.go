@@ -1,13 +1,13 @@
-// SLO monitoring with the library's extensions: biased quantiles track
-// an error-budget percentile with *relative* precision, and a sliding
-// window keeps the view recent — together, "p99.9 over the last hour"
-// without storing the hour.
+// SLO monitoring: biased quantiles track an error-budget percentile with
+// *relative* precision, and a tumbling view — a fresh summary per
+// interval, read when the interval closes — keeps the view recent:
+// together, "p99.9 over the last hour" without storing the hour.
 //
-// The scenario: a service emits response codes; we track the fraction of
-// slow requests (a very low quantile of the "time-to-unhealthy" metric)
-// and the live latency distribution over a window. Midway, the service
-// degrades; the windowed summary notices, the all-time summary barely
-// moves — the motivation for windows.
+// The scenario: a service emits latencies; we track the extreme tail
+// (a very low quantile of the mirrored stream) and the latency
+// distribution per interval. Late in the run the service degrades; the
+// last interval's summary notices, the all-time summary barely moves —
+// the motivation for per-interval views.
 package main
 
 import (
@@ -47,13 +47,13 @@ func latencyMicros(r *rng, degraded bool) uint64 {
 
 func main() {
 	const (
-		n      = 1_200_000
-		window = 200_000
-		eps    = 0.005
+		n        = 1_200_000
+		interval = 200_000
+		eps      = 0.005
 	)
-	// All-time view vs windowed view of the same stream.
+	// All-time view vs the last closed interval of the same stream.
 	allTime := sq.NewGKArray(eps)
-	recent := sq.NewWindowed(eps, window, 1)
+	current, last := sq.NewGKArray(eps), sq.NewGKArray(eps)
 	// Biased summary for the extreme tail: relative error means p99.99
 	// is as trustworthy as p90.
 	tail := sq.NewGKBiased(0.1)
@@ -63,17 +63,22 @@ func main() {
 		degraded := i >= n*3/4 // the last quarter of traffic is degraded
 		v := latencyMicros(r, degraded)
 		allTime.Update(v)
-		recent.Update(v)
+		current.Update(v)
+		if current.Count() == interval {
+			// The interval closes: its summary becomes the recent view
+			// and the next interval starts from a fresh one.
+			last, current = current, sq.NewGKArray(eps)
+		}
 		// Track slow requests from the top: rank of (max − v) is low for
 		// slow requests, where the biased summary is sharpest.
 		tail.Update(^v)
 	}
 
 	fmt.Println("== after degradation (last 25% of traffic) ==")
-	fmt.Printf("%-28s %-12s %-12s\n", "", "all-time", fmt.Sprintf("last %d", window))
+	fmt.Printf("%-28s %-12s %-12s\n", "", "all-time", fmt.Sprintf("last %d", last.Count()))
 	for _, phi := range []float64{0.5, 0.99} {
 		fmt.Printf("p%-27g %-12d %-12d\n",
-			phi*100, allTime.Quantile(phi), recent.Quantile(phi))
+			phi*100, allTime.Quantile(phi), last.Quantile(phi))
 	}
 	fmt.Println()
 	fmt.Println("extreme tail via biased summary (relative error ≤ 10% of rank):")
@@ -82,7 +87,7 @@ func main() {
 		v := ^tail.Quantile(phi)
 		fmt.Printf("  p%-8.4g ≈ %d µs\n", (1-phi)*100, v)
 	}
-	fmt.Printf("\nsummaries: all-time %.1fKB, windowed %.1fKB, tail %.1fKB (raw stream: %.1fMB)\n",
-		float64(allTime.SpaceBytes())/1024, float64(recent.SpaceBytes())/1024,
+	fmt.Printf("\nsummaries: all-time %.1fKB, last interval %.1fKB, tail %.1fKB (raw stream: %.1fMB)\n",
+		float64(allTime.SpaceBytes())/1024, float64(last.SpaceBytes())/1024,
 		float64(tail.SpaceBytes())/1024, float64(8*n)/(1<<20))
 }

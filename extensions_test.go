@@ -31,20 +31,3 @@ func TestGKBiasedPublicAPI(t *testing.T) {
 		}
 	}
 }
-
-func TestWindowedPublicAPI(t *testing.T) {
-	w := NewWindowed(0.05, 10000, 1)
-	// Old regime then new regime; window must forget the old one.
-	for i := 0; i < 30000; i++ {
-		w.Update(5)
-	}
-	for i := 0; i < 12000; i++ {
-		w.Update(1000)
-	}
-	if med := w.Quantile(0.5); med != 1000 {
-		t.Errorf("median %d, want 1000 after regime change", med)
-	}
-	if w.Count() < 10000 || w.Count() > 10000+w.BlockSize() {
-		t.Errorf("covered count %d outside [W, W+block]", w.Count())
-	}
-}

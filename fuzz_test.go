@@ -124,6 +124,8 @@ func FuzzCodecsNeverPanic(f *testing.F) {
 		_ = b.UnmarshalBinary(raw)
 		var c GKTheory
 		_ = c.UnmarshalBinary(raw)
+		var gb GKBiased
+		_ = gb.UnmarshalBinary(raw)
 		var q QDigest
 		_ = q.UnmarshalBinary(raw)
 		var r Random

@@ -1,10 +1,6 @@
 package gk
 
-import (
-	"slices"
-
-	"streamquantiles/internal/core"
-)
+import "streamquantiles/internal/core"
 
 // Array is the GKArray variant introduced by the journal version of the
 // paper (§2.1.2): tuples live in a flat sorted array; arriving elements
@@ -19,7 +15,6 @@ type Array struct {
 	tuples tcols
 	spare  tcols // merge destination, swapped with tuples after each flush
 	buf    []uint64
-	maxLen int // high-water mark of len(tuples)+cap(buf), for accounting
 }
 
 // minBuffer bounds the batch size from below so tiny summaries still
@@ -65,33 +60,11 @@ func (a *Array) Flush() {
 }
 
 func (a *Array) flush() {
-	slices.Sort(a.buf)
-	p := threshold(a.eps, a.n)
-
-	// mergeSorted (shared with the batch paths, see batch.go) applies the
-	// removability rule g_i + g_{i+1} + Δ_{i+1} ≤ ⌊2εn⌋ through a
-	// one-step lookahead during the merge. The first tuple of the merged
-	// list (the exact minimum) is never removed, mirroring GK01's
-	// boundary handling; the last never reaches the removability check.
-	// The merge writes into the spare column set, which then swaps with
-	// the live one — steady state allocates nothing.
-	a.spare.ensure(a.tuples.len() + len(a.buf))
-	mergeSorted(&a.tuples, a.buf, p, &a.spare)
-	a.tuples, a.spare = a.spare, a.tuples
-
-	// Resize the buffer to Θ(|L|) for the next batch.
-	want := a.tuples.len()
-	if want < minBuffer {
-		want = minBuffer
-	}
-	if cap(a.buf) != want {
-		a.buf = make([]uint64, 0, want)
-	} else {
-		a.buf = a.buf[:0]
-	}
-	if hw := a.tuples.len()*tupleWords + cap(a.buf); hw > a.maxLen {
-		a.maxLen = hw
-	}
+	// The merge applies the removability rule g_i + g_{i+1} + Δ_{i+1} ≤
+	// ⌊2εn⌋ through a one-step lookahead (see mergeSorted); the buffer
+	// is then resized to Θ(|L|) for the next batch.
+	mergeBuffer(&a.tuples, &a.spare, a.buf, threshold(a.eps, a.n))
+	a.buf = resizeBuffer(a.buf, a.tuples.len())
 }
 
 // Quantile implements core.Summary. It flushes pending elements first.

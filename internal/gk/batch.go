@@ -23,34 +23,26 @@ const batchMin = 32
 
 // UpdateBatch implements core.BatchCashRegister. State is byte-identical
 // to the equivalent sequence of Update calls.
-func (a *Array) UpdateBatch(xs []uint64) {
-	for len(xs) > 0 {
-		take := cap(a.buf) - len(a.buf)
-		if take > len(xs) {
-			take = len(xs)
-		}
-		a.buf = append(a.buf, xs[:take]...)
-		a.n += int64(take)
-		xs = xs[take:]
-		if len(a.buf) == cap(a.buf) {
-			a.flush()
-		}
-	}
-}
+func (a *Array) UpdateBatch(xs []uint64) { bufferBatch(&a.buf, &a.n, xs, a.flush) }
 
 // UpdateBatch implements core.BatchCashRegister. State is byte-identical
 // to the equivalent sequence of Update calls.
-func (b *Biased) UpdateBatch(xs []uint64) {
+func (b *Biased) UpdateBatch(xs []uint64) { bufferBatch(&b.buf, &b.n, xs, b.flush) }
+
+// bufferBatch copies xs into a buffered variant's pending buffer in
+// chunks that fill it, counting them into *n and calling flush at each
+// fill — exactly the per-item Update schedule.
+func bufferBatch(buf *[]uint64, n *int64, xs []uint64, flush func()) {
 	for len(xs) > 0 {
-		take := cap(b.buf) - len(b.buf)
+		take := cap(*buf) - len(*buf)
 		if take > len(xs) {
 			take = len(xs)
 		}
-		b.buf = append(b.buf, xs[:take]...)
-		b.n += int64(take)
+		*buf = append(*buf, xs[:take]...)
+		*n += int64(take)
 		xs = xs[take:]
-		if len(b.buf) == cap(b.buf) {
-			b.flush()
+		if len(*buf) == cap(*buf) {
+			flush()
 		}
 	}
 }
@@ -98,6 +90,29 @@ func mergeSorted(src *tcols, batch []uint64, p int64, out *tcols) {
 	if hasPending {
 		out.push(pending.v, pending.g, pending.del)
 	}
+}
+
+// mergeBuffer sorts the pending buffer and merges it into *tuples at
+// capacity p (see mergeSorted) through the spare column set, which then
+// swaps with the live one — steady state allocates nothing. The buffered
+// variants (Array, Biased) flush through it.
+func mergeBuffer(tuples, spare *tcols, buf []uint64, p int64) {
+	slices.Sort(buf)
+	spare.ensure(tuples.len() + len(buf))
+	mergeSorted(tuples, buf, p, spare)
+	*tuples, *spare = *spare, *tuples
+}
+
+// resizeBuffer empties a flushed pending buffer and gives it capacity
+// want (at least minBuffer), reusing the old one when the size holds.
+func resizeBuffer(buf []uint64, want int) []uint64 {
+	if want < minBuffer {
+		want = minBuffer
+	}
+	if cap(buf) != want {
+		return make([]uint64, 0, want)
+	}
+	return buf[:0]
 }
 
 // stageBatch copies xs into the staging buffer (grown geometrically,

@@ -22,13 +22,12 @@ import (
 //
 // maintained by an amortized right-to-left COMPRESS sweep.
 type Biased struct {
-	eps      float64
-	n        int64
-	tuples   tcols
-	spare    tcols   // merge destination, swapped with tuples each flush
-	ranks    []int64 // compress-sweep prefix-rank scratch
-	buf      []uint64
-	maxWords int
+	eps    float64
+	n      int64
+	tuples tcols
+	spare  tcols   // merge destination, swapped with tuples each flush
+	ranks  []int64 // compress-sweep prefix-rank scratch
+	buf    []uint64
 }
 
 // NewBiased returns an empty biased-quantile summary with relative error
@@ -81,42 +80,14 @@ func (b *Biased) Flush() {
 }
 
 func (b *Biased) flush() {
-	sort.Slice(b.buf, func(i, j int) bool { return b.buf[i] < b.buf[j] })
-
-	// Merge buffer and tuple columns in sorted order into the spare
-	// column set, then swap. New elements take Δ = g_succ + Δ_succ − 1
-	// from their successor tuple (0 past the end), as in GKAdaptive; the
-	// biased invariant is enforced by the compress sweep below.
-	b.spare.ensure(b.tuples.len() + len(b.buf))
-	out := &b.spare
-	ti, bi := 0, 0
-	for ti < b.tuples.len() || bi < len(b.buf) {
-		if bi < len(b.buf) && (ti == b.tuples.len() || b.buf[bi] < b.tuples.vals[ti]) {
-			var del int64
-			if ti < b.tuples.len() {
-				del = b.tuples.gaps[ti] + b.tuples.dels[ti] - 1
-			}
-			out.push(b.buf[bi], 1, del)
-			bi++
-		} else {
-			out.push(b.tuples.vals[ti], b.tuples.gaps[ti], b.tuples.dels[ti])
-			ti++
-		}
-	}
-	b.tuples, b.spare = b.spare, b.tuples
-	b.buf = b.buf[:0]
+	// GKArray's merge at capacity 0: every g ≥ 1, so the merge removes
+	// no tuple and new elements only take Δ = g_succ + Δ_succ − 1 from
+	// their successor (0 past the end), as in GKAdaptive. The biased
+	// invariant is enforced by the compress sweep, and the buffer is
+	// sized to half the surviving list.
+	mergeBuffer(&b.tuples, &b.spare, b.buf, 0)
 	b.compress()
-
-	want := b.tuples.len() / 2
-	if want < minBuffer {
-		want = minBuffer
-	}
-	if cap(b.buf) != want {
-		b.buf = make([]uint64, 0, want)
-	}
-	if w := b.tuples.len()*tupleWords + cap(b.buf); w > b.maxWords {
-		b.maxWords = w
-	}
+	b.buf = resizeBuffer(b.buf, b.tuples.len()/2)
 }
 
 // compress merges tuple i into i+1 when the result respects the biased

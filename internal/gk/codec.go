@@ -2,10 +2,10 @@ package gk
 
 import "streamquantiles/internal/core"
 
-// All three GK variants serialize as their logical content — ε, n, and
-// the ordered tuple list — plus any buffered elements. The auxiliary
-// index structures (skip list, heap) are rebuilt on load; they are
-// derived state, and rebuilding keeps the encoding small and
+// All GK variants serialize as their logical content — ε, n, and the
+// ordered tuple list — plus any buffered elements. The auxiliary index
+// structures (skip list, heap) are rebuilt on load; they are derived
+// state, and rebuilding keeps the encoding small and
 // implementation-independent.
 
 const (
@@ -13,6 +13,7 @@ const (
 	codecKindAdapt  = 0x11
 	codecKindTheory = 0x12
 	codecKindArray  = 0x13
+	codecKindBiased = 0x14
 )
 
 func marshalTuples(dst []byte, kind byte, eps float64, n int64, seq tupleSeq, extra func(e *core.Encoder)) []byte {
@@ -144,6 +145,43 @@ func (t *Theory) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
+// marshalBuffered encodes a buffered variant (Array, Biased): the tuple
+// list, then the pending buffer and its capacity, so marshalling does
+// not disturb the batch schedule.
+func marshalBuffered(dst []byte, kind byte, eps float64, n int64, tuples *tcols, buf []uint64) []byte {
+	return marshalTuples(dst, kind, eps, n, tuples.seq, func(e *core.Encoder) {
+		e.U64s(buf)
+		e.U64(uint64(cap(buf)))
+	})
+}
+
+// unmarshalBuffered decodes marshalBuffered's bytes. The returned buffer
+// holds the pending elements at the encoded capacity (at least
+// minBuffer).
+func unmarshalBuffered(kind byte, data []byte) (eps float64, n int64, tuples tcols, buf []uint64, err error) {
+	eps, n, tuples, dec, err := unmarshalTuples(kind, data)
+	if err != nil {
+		return 0, 0, tcols{}, nil, err
+	}
+	buffered := dec.U64s()
+	bufCap := int(dec.U64())
+	if err := dec.Err(); err != nil {
+		return 0, 0, tcols{}, nil, err
+	}
+	if dec.Remaining() != 0 {
+		return 0, 0, tcols{}, nil, core.Corruptf("gk: %d trailing bytes", dec.Remaining())
+	}
+	if bufCap < len(buffered) || bufCap > 1<<22 {
+		return 0, 0, tcols{}, nil, core.Corruptf("gk: implausible buffer capacity %d", bufCap)
+	}
+	if bufCap < minBuffer {
+		bufCap = minBuffer
+	}
+	buf = make([]uint64, len(buffered), bufCap)
+	copy(buf, buffered)
+	return eps, n, tuples, buf, nil
+}
+
 // MarshalBinary implements encoding.BinaryMarshaler. Pending buffered
 // elements are included, so marshalling does not disturb the batch
 // schedule.
@@ -151,37 +189,42 @@ func (a *Array) MarshalBinary() ([]byte, error) { return a.AppendBinary(nil) }
 
 // AppendBinary implements core.AppendMarshaler.
 func (a *Array) AppendBinary(dst []byte) ([]byte, error) {
-	return marshalTuples(dst, codecKindArray, a.eps, a.n, a.seq, func(e *core.Encoder) {
-		e.U64s(a.buf)
-		e.U64(uint64(cap(a.buf)))
-	}), nil
+	return marshalBuffered(dst, codecKindArray, a.eps, a.n, &a.tuples, a.buf), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (a *Array) UnmarshalBinary(data []byte) error {
-	eps, n, tuples, dec, err := unmarshalTuples(codecKindArray, data)
+	eps, n, tuples, buf, err := unmarshalBuffered(codecKindArray, data)
 	if err != nil {
 		return err
-	}
-	buffered := dec.U64s()
-	bufCap := int(dec.U64())
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if dec.Remaining() != 0 {
-		return core.Corruptf("gk: %d trailing bytes", dec.Remaining())
-	}
-	if bufCap < len(buffered) || bufCap > 1<<22 {
-		return core.Corruptf("gk: implausible buffer capacity %d", bufCap)
 	}
 	na := NewArray(eps)
 	na.n = n
 	na.tuples = tuples
-	if bufCap < minBuffer {
-		bufCap = minBuffer
-	}
-	na.buf = make([]uint64, len(buffered), bufCap)
-	copy(na.buf, buffered)
+	na.buf = buf
 	*a = *na
+	return nil
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler, in GKArray's
+// layout under its own kind byte.
+func (b *Biased) MarshalBinary() ([]byte, error) { return b.AppendBinary(nil) }
+
+// AppendBinary implements core.AppendMarshaler.
+func (b *Biased) AppendBinary(dst []byte) ([]byte, error) {
+	return marshalBuffered(dst, codecKindBiased, b.eps, b.n, &b.tuples, b.buf), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (b *Biased) UnmarshalBinary(data []byte) error {
+	eps, n, tuples, buf, err := unmarshalBuffered(codecKindBiased, data)
+	if err != nil {
+		return err
+	}
+	nb := NewBiased(eps)
+	nb.n = n
+	nb.tuples = tuples
+	nb.buf = buf
+	*b = *nb
 	return nil
 }

@@ -29,6 +29,8 @@ func TestCodecRoundTripAllVariants(t *testing.T) {
 			func() marshaler { return NewTheory(0.5) }},
 		{"Array", func() core.CashRegister { return NewArray(0.01) },
 			func() marshaler { return NewArray(0.5) }},
+		{"Biased", func() core.CashRegister { return NewBiased(0.01) },
+			func() marshaler { return NewBiased(0.5) }},
 	}
 	for _, c := range cases {
 		orig := c.mk()
@@ -51,11 +53,11 @@ func TestCodecRoundTripAllVariants(t *testing.T) {
 			}
 		}
 		// Continuing the stream must keep the summary valid (the heap and
-		// skip list are rebuilt: this exercises them). Theory and Array
-		// evolve deterministically from logical state, so they must stay
-		// bit-identical to the uninterrupted run; Adaptive's heap breaks
-		// cost ties by internal array order, which is not logical state,
-		// so for it we check the ε guarantee instead.
+		// skip list are rebuilt: this exercises them). Theory, Array and
+		// Biased evolve deterministically from logical state, so they
+		// must stay bit-identical to the uninterrupted run; Adaptive's
+		// heap breaks cost ties by internal array order, which is not
+		// logical state, so for it we check the ε guarantee instead.
 		for _, x := range rest {
 			rs.Update(x)
 			orig.Update(x)
@@ -101,6 +103,15 @@ func TestCodecRejectsWrongKind(t *testing.T) {
 	var arr Array
 	if err := arr.UnmarshalBinary(blob); err == nil {
 		t.Error("Array accepted an Adaptive encoding")
+	}
+	// Array and Biased share a layout; only the kind byte tells them
+	// apart.
+	ab := NewArray(0.1)
+	ab.Update(1)
+	blob, _ = ab.MarshalBinary()
+	var bi Biased
+	if err := bi.UnmarshalBinary(blob); err == nil {
+		t.Error("Biased accepted an Array encoding")
 	}
 }
 

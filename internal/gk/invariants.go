@@ -115,33 +115,17 @@ func (a *Array) Invariants() error {
 // feasible rank r_i + Δ_i (the rank its Δ interval extends to), which is
 // what the relative-error extraction rule consults.
 func (b *Biased) Invariants() error {
-	var (
-		rsum int64
-		prev uint64
-		err  error
-	)
-	for i := 0; i < b.tuples.len(); i++ {
-		t := b.tuples.at(i)
-		switch {
-		case t.g < 1:
-			err = fmt.Errorf("gk/biased: tuple %d (v=%d) has weight g=%d < 1", i, t.v, t.g)
-		case t.del < 0:
-			err = fmt.Errorf("gk/biased: tuple %d (v=%d) has negative Δ=%d", i, t.v, t.del)
-		case i > 0 && t.v < prev:
-			err = fmt.Errorf("gk/biased: tuple %d out of order: %d after %d", i, t.v, prev)
-		}
-		if err != nil {
-			return err
-		}
-		rsum += t.g
-		if i > 0 && t.g+t.del > b.invariant(rsum+t.del) {
-			return fmt.Errorf("gk/biased: tuple %d (v=%d) violates biased invariant: g+Δ = %d > f(%d) = %d",
-				i, t.v, t.g+t.del, rsum+t.del, b.invariant(rsum+t.del))
-		}
-		prev = t.v
+	// Capacity 0 skips the uniform bound; the biased one follows.
+	if err := checkTuples("gk/biased", b.seq, b.n-int64(len(b.buf)), 0); err != nil {
+		return err
 	}
-	if want := b.n - int64(len(b.buf)); rsum != want {
-		return fmt.Errorf("gk/biased: weight not conserved: Σg = %d, want %d", rsum, want)
+	var rsum int64
+	for i, g := range b.tuples.gaps {
+		rsum += g
+		if del := b.tuples.dels[i]; i > 0 && g+del > b.invariant(rsum+del) {
+			return fmt.Errorf("gk/biased: tuple %d (v=%d) violates biased invariant: g+Δ = %d > f(%d) = %d",
+				i, b.tuples.vals[i], g+del, rsum+del, b.invariant(rsum+del))
+		}
 	}
 	return nil
 }

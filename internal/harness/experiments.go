@@ -32,7 +32,7 @@ func AllExperiments() []string {
 		ExpFig5, ExpFig6, ExpFig7, ExpFig8,
 		ExpTable3, ExpTable4, ExpFig9, ExpFig10, ExpFig11, ExpFig12,
 		ExpAblGK, ExpAblExact, ExpAblPostFB,
-		ExpExtBiased, ExpExtWindow, ExpExtKLL,
+		ExpExtBiased, ExpExtKLL,
 	}
 }
 
@@ -65,8 +65,6 @@ func Run(exp string, o Options) []Result {
 		return AblationPostFallback(o)
 	case ExpExtBiased:
 		return ExtBiased(o)
-	case ExpExtWindow:
-		return ExtWindow(o)
 	case ExpExtKLL:
 		return ExtKLL(o)
 	default:

@@ -4,28 +4,18 @@ import (
 	"time"
 
 	"streamquantiles/internal/core"
-	"streamquantiles/internal/exact"
 	"streamquantiles/internal/gk"
 	"streamquantiles/internal/kll"
 	"streamquantiles/internal/streamgen"
-	"streamquantiles/internal/window"
 )
 
 // Extension experiments: problem variations the paper's introduction
-// surveys (biased quantiles, sliding windows) that this reproduction
-// implements beyond the paper's own evaluation.
+// surveys (biased quantiles) and the KLL epilogue, beyond the paper's
+// own evaluation.
 const (
 	ExpExtBiased = "ext-biased"
-	ExpExtWindow = "ext-window"
 	ExpExtKLL    = "ext-kll"
 )
-
-// updatable is the slice of core.CashRegister the extension drivers need.
-type updatable interface {
-	Update(x uint64)
-	Quantile(phi float64) uint64
-	SpaceBytes() int64
-}
 
 // ExtBiased compares the biased summary against a uniform GK summary at
 // the same ε across query fractions: the biased structure must be
@@ -37,7 +27,7 @@ func ExtBiased(o Options) []Result {
 
 	algos := []struct {
 		name string
-		s    updatable
+		s    core.CashRegister
 	}{
 		{"GKBiased", gk.NewBiased(eps)},
 		{"GKArray", gk.NewArray(eps)},
@@ -93,41 +83,6 @@ func ExtKLL(o Options) []Result {
 				MaxErr: m.maxErr, AvgErr: m.avgErr,
 			})
 		}
-	}
-	return results
-}
-
-// ExtWindow measures the sliding-window summary against the exact
-// content of its covered window after a distribution shift, across
-// window sizes.
-func ExtWindow(o Options) []Result {
-	const eps = 0.02
-	n := o.n()
-	data := make([]uint64, 2*n)
-	streamgen.Normal{Bits: 24, Sigma: 0.1, Seed: o.Seed}.Fill(data[:n])
-	streamgen.MPCATLike{Seed: o.Seed + 1}.Fill(data[n:])
-
-	var results []Result
-	for _, wlen := range []int64{int64(n) / 8, int64(n) / 2} {
-		if wlen < 100 {
-			continue
-		}
-		w := window.New(eps, wlen, o.Seed)
-		start := time.Now()
-		for _, x := range data {
-			w.Update(x)
-		}
-		ns := float64(time.Since(start).Nanoseconds()) / float64(len(data))
-		covered := w.Count()
-		oracle := exact.New(data[int64(len(data))-covered:])
-		phis := core.EvenPhis(eps)
-		maxE, avgE := oracle.Evaluate(w.Quantiles(phis), phis)
-		results = append(results, Result{
-			Experiment: ExpExtWindow, Algo: "Windowed(Random)",
-			Workload: "normal→mpcat shift", N: wlen, Eps: eps,
-			SpaceBytes: w.SpaceBytes(), UpdateNs: ns,
-			MaxErr: maxE, AvgErr: avgE,
-		})
 	}
 	return results
 }

@@ -29,18 +29,3 @@ func TestExtBiasedShape(t *testing.T) {
 			lowest, rel["GKBiased"][lowest], rel["GKArray"][lowest])
 	}
 }
-
-func TestExtWindowShape(t *testing.T) {
-	results := ExtWindow(Options{N: 40000, Seed: 22, Repeats: 1})
-	if len(results) == 0 {
-		t.Fatal("no results")
-	}
-	for _, r := range results {
-		if r.MaxErr > r.Eps {
-			t.Errorf("window %d: max error %v exceeds ε=%v", r.N, r.MaxErr, r.Eps)
-		}
-		if r.SpaceBytes <= 0 || r.UpdateNs <= 0 {
-			t.Errorf("window %d: non-positive measurements", r.N)
-		}
-	}
-}

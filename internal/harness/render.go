@@ -64,9 +64,6 @@ func columnsFor(exp string) []column {
 		abs := column{"abs-err", func(r Result) string { return fmtErr(r.MaxErr) }}
 		rel := column{"err/phi", func(r Result) string { return fmtErr(r.AvgErr) }}
 		return []column{algo, phi, eps, space, abs, rel}
-	case ExpExtWindow:
-		wcol := column{"window", func(r Result) string { return fmt.Sprintf("%d", r.N) }}
-		return []column{algo, wcol, eps, space, tm, maxe, avge}
 	default:
 		return []column{algo, eps, space, tm, maxe, avge}
 	}
@@ -143,7 +140,6 @@ func Titles() map[string]string {
 		ExpAblExact:  "Ablation — DCS with vs without exact top levels",
 		ExpAblPostFB: "Ablation — Post fallback for intervals outside the truncated tree",
 		ExpExtBiased: "Extension — biased (relative-error) quantiles vs the uniform GK summary",
-		ExpExtWindow: "Extension — sliding-window quantiles over a distribution shift",
 		ExpExtKLL:    "Epilogue — KLL (2016) against the study's randomized algorithms",
 	}
 }
@@ -187,9 +183,6 @@ func PaperExpectations() map[string]string {
 			"its §1): the biased summary keeps the error proportional to the target " +
 			"rank — err/φ stays bounded as φ → 0, where the uniform summary's " +
 			"relative error blows up.",
-		ExpExtWindow: "Not part of the paper's evaluation (the variation is surveyed in " +
-			"its §1): after the shift the window answers within ε of the exact " +
-			"content of the covered window, at space independent of stream length.",
 		ExpExtKLL: "Post-dates the paper: KLL is the optimal-space successor of the " +
 			"Random/MRL99 buffer hierarchy (the line of work the study fed). Expect " +
 			"comparable error at a fraction of the space and similar update cost.",

@@ -34,11 +34,10 @@ type buffer struct {
 // Random is the randomized sample-based summary. It is safe for
 // sequential use only.
 type Random struct {
-	eps     float64
-	h       int
-	s       int
-	n       int64
-	compact bool // lazy buffer allocation (NewCompact)
+	eps float64
+	h   int
+	s   int
+	n   int64
 
 	bufs []*buffer
 	cur  *buffer // buffer currently being filled, nil between buffers
@@ -59,16 +58,22 @@ type Random struct {
 // footprint is fixed by ε alone — the behavior the paper measures
 // (§4.2.5: "the buffers are pre-allocated according to ε").
 func New(eps float64, seed uint64) *Random {
-	return newRandom(eps, seed, false)
-}
-
-// NewCompact is New with lazy buffer allocation: buffers grow as data
-// arrives, so short streams cost proportional space instead of the full
-// ε-determined footprint. The algorithm and its guarantees are
-// identical; only SpaceBytes differs. Used by the sliding-window
-// summary, whose blocks summarize bounded stretches.
-func NewCompact(eps float64, seed uint64) *Random {
-	return newRandom(eps, seed, true)
+	if math.IsNaN(eps) || eps <= 0 || eps >= 1 {
+		panic(fmt.Sprintf("randalg: error parameter %v outside (0, 1)", eps))
+	}
+	hf, sf := sizeParams(eps)
+	h, s := int(hf), int(sf)
+	r := &Random{
+		eps:  eps,
+		h:    h,
+		s:    s,
+		bufs: make([]*buffer, 0, h+1),
+		rng:  xhash.NewSplitMix64(seed),
+	}
+	for i := 0; i < h+1; i++ {
+		r.bufs = append(r.bufs, &buffer{data: make([]uint64, 0, s)})
+	}
+	return r
 }
 
 // sizeParams computes h = ⌈log₂(1/ε)⌉ (floored at 1) and s = ⌈√h/ε⌉ in
@@ -82,30 +87,6 @@ func sizeParams(eps float64) (hf, sf float64) {
 		hf = 1
 	}
 	return hf, math.Ceil(math.Sqrt(hf) / eps)
-}
-
-func newRandom(eps float64, seed uint64, compact bool) *Random {
-	if math.IsNaN(eps) || eps <= 0 || eps >= 1 {
-		panic(fmt.Sprintf("randalg: error parameter %v outside (0, 1)", eps))
-	}
-	hf, sf := sizeParams(eps)
-	h, s := int(hf), int(sf)
-	r := &Random{
-		eps:     eps,
-		h:       h,
-		s:       s,
-		compact: compact,
-		bufs:    make([]*buffer, 0, h+1),
-		rng:     xhash.NewSplitMix64(seed),
-	}
-	for i := 0; i < h+1; i++ {
-		b := &buffer{}
-		if !compact {
-			b.data = make([]uint64, 0, s)
-		}
-		r.bufs = append(r.bufs, b)
-	}
-	return r
 }
 
 // Eps returns the error parameter.
@@ -283,7 +264,6 @@ func (r *Random) Clone() *Random {
 		eps:       r.eps,
 		h:         r.h,
 		s:         r.s,
-		compact:   r.compact,
 		n:         r.n,
 		blockSize: r.blockSize,
 		blockPos:  r.blockPos,
@@ -295,7 +275,7 @@ func (r *Random) Clone() *Random {
 	for _, b := range r.bufs {
 		nb := &buffer{level: b.level, full: b.full}
 		capWant := cap(b.data)
-		if !r.compact && capWant < r.s {
+		if capWant < r.s {
 			capWant = r.s
 		}
 		nb.data = make([]uint64, len(b.data), capWant)
@@ -439,13 +419,13 @@ func (r *Random) compactSlots() {
 }
 
 // SpaceBytes implements core.Summary: each buffer is charged its
-// capacity (the full s for pre-allocated summaries, the grown capacity
-// for compact ones) plus level/flag words, plus scalar state.
+// capacity (at least the pre-allocated s) plus level/flag words, plus
+// scalar state.
 func (r *Random) SpaceBytes() int64 {
 	var words int64
 	for _, b := range r.bufs {
 		c := cap(b.data)
-		if !r.compact && c < r.s {
+		if c < r.s {
 			c = r.s
 		}
 		words += int64(c) + 2

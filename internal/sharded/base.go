@@ -94,12 +94,8 @@ func newGen[S core.Summary](id uint64, p int, fresh func() S, caps foldCaps) *ge
 	return g
 }
 
-// genSet implementation (see query.go).
-func (g *gen[S]) numShards() int             { return len(g.shards) }
-func (g *gen[S]) freshSummary() core.Summary { return g.fresh() }
-func (g *gen[S]) genID() uint64              { return g.id }
-func (g *gen[S]) capabilities() foldCaps     { return g.caps }
-
+// withShard runs fn under shard i's lock and returns the epoch observed
+// while holding it.
 func (g *gen[S]) withShard(i int, fn func(s core.Summary)) uint64 {
 	sh := &g.shards[i]
 	sh.mu.Lock()
@@ -172,13 +168,14 @@ func (b *base[S]) Generation() uint64 { return b.gen.Load().id }
 // dyadic seeds is detected here instead of failing inside every query.
 func (b *base[S]) Mergeable() bool { return b.gen.Load().caps.mergeable }
 
-// elasticSet implementation (see query.go).
-func (b *base[S]) currentGen() genSet           { return b.gen.Load() }
-func (b *base[S]) retiredVer() uint64           { return b.ret.ver.Load() }
-func (b *base[S]) retiredComps() []*retiredComp { return b.ret.comps }
-
-// current is written over the typed generation rather than genSet, so
-// the check every cached query pays makes no further interface calls.
+// current reports, without taking a lock, whether nothing observable
+// changed since e was folded: same topology generation, same retired
+// components, and no shard written. The epoch vector is per-shard
+// consistent (each entry was read under its shard's lock at the moment
+// that shard was folded), so a full match means the fold equals one
+// performed now. Generations are immutable, so a matching id
+// guarantees the epoch vector indexes the same shard array it was
+// built from.
 func (b *base[S]) current(e *combinedEntry) bool {
 	g := b.gen.Load()
 	if g.id != e.genID || b.ret.ver.Load() != e.retVer {
@@ -194,7 +191,7 @@ func (b *base[S]) current(e *combinedEntry) bool {
 
 // topoRLock takes the topology read lock and hands the caller the
 // matching unlock — the fold rebuild in query.go holds it for the
-// duration of the rebuild via `defer set.topoRLock()()`.
+// duration of the rebuild via `defer b.topoRLock()()`.
 //
 // locks topo
 func (b *base[S]) topoRLock() func() {
@@ -254,7 +251,7 @@ func (b *base[S]) countLocked() int64 {
 // probe falls into plus its −1 bias, Σᵢ(2εᵢnᵢ+1) ≤ 2εn + parts, where
 // parts counts live shards plus frozen components (Components).
 func (b *base[S]) Rank(x uint64) int64 {
-	if e := b.q.entry(b); e != nil {
+	if e := b.entry(); e != nil {
 		return e.rank(x)
 	}
 	b.topo.RLock()
@@ -264,7 +261,7 @@ func (b *base[S]) Rank(x uint64) int64 {
 
 // RankBatch implements core.QuantileBatcher.
 func (b *base[S]) RankBatch(xs []uint64) []int64 {
-	if e := b.q.entry(b); e != nil {
+	if e := b.entry(); e != nil {
 		return e.rankBatch(xs)
 	}
 	b.topo.RLock()
@@ -308,7 +305,7 @@ func (b *base[S]) summedRankBatchLocked(xs []uint64) []int64 {
 // Quantile implements core.Summary within the composed ε bound.
 func (b *base[S]) Quantile(phi float64) uint64 {
 	core.CheckPhi(phi)
-	if e := b.q.entry(b); e != nil {
+	if e := b.entry(); e != nil {
 		return e.quantile(phi)
 	}
 	b.topo.RLock()
@@ -326,7 +323,7 @@ func (b *base[S]) Quantile(phi float64) uint64 {
 // batch. Whichever answers validates the fractions: a snapshot, a
 // summary or the descent.
 func (b *base[S]) QuantileBatch(phis []float64) []uint64 {
-	if e := b.q.entry(b); e != nil {
+	if e := b.entry(); e != nil {
 		return e.quantileBatch(phis)
 	}
 	b.topo.RLock()

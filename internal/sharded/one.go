@@ -12,7 +12,7 @@ import (
 // shard write (see Write); queries go through the package's one epoch
 // cache, which answers a lone shard from that shard's own exact
 // snapshot, or from the live summary under the shard lock (see
-// queryCache.entry) — so a One answers exactly like the summary it
+// base.entry) — so a One answers exactly like the summary it
 // wraps. The base is a named field rather than embedded, keeping the
 // container-only methods (Shards, Generation, the observers, the
 // sharded codec) off One's method set, which is exactly the query,

@@ -81,42 +81,6 @@ type queryCache struct {
 // are still safe because current rechecks the generation id.
 func (q *queryCache) invalidate() { q.cur.Store(nil) }
 
-// shardSet abstracts a shard array for the fold machinery.
-type shardSet interface {
-	numShards() int
-	// withShard runs fn under shard i's lock and returns the epoch
-	// observed while holding it.
-	withShard(i int, fn func(s core.Summary)) uint64
-	freshSummary() core.Summary
-}
-
-// genSet is a shardSet that knows its generation identity and fold
-// capabilities — implemented by gen[S].
-type genSet interface {
-	shardSet
-	genID() uint64
-	capabilities() foldCaps
-}
-
-// elasticSet is the container view the query cache folds: the current
-// generation plus the frozen components and the topology lock.
-type elasticSet interface {
-	currentGen() genSet
-	retiredVer() uint64
-	retiredComps() []*retiredComp
-	// topoRLock takes the topology read lock and returns the unlock.
-	topoRLock() func()
-	// current reports, without taking a lock, whether nothing
-	// observable changed since e was folded: same topology generation,
-	// same retired components, and no shard written. The epoch vector
-	// is per-shard consistent (each entry was read under its shard's
-	// lock at the moment that shard was folded), so a full match means
-	// the fold equals one performed now. Generations are immutable, so
-	// a matching genID guarantees the epoch vector indexes the same
-	// shard array it was built from.
-	current(e *combinedEntry) bool
-}
-
 // combinedEntry is one cached fold of the whole container. Exactly one
 // of the three live-shard artifact shapes is populated:
 //
@@ -158,25 +122,26 @@ type combinedEntry struct {
 // component — is never folded: its artifact is the shard's own exact
 // snapshot, so it answers exactly like its summary, and without one
 // entry returns nil and the caller queries the live summary under the
-// shard lock (base's loneLocked).
-func (q *queryCache) entry(set elasticSet) *combinedEntry {
-	if e := q.cur.Load(); e != nil && set.current(e) {
+// shard lock (loneLocked).
+func (b *base[S]) entry() *combinedEntry {
+	q := &b.q
+	if e := q.cur.Load(); e != nil && b.current(e) {
 		return e
 	}
-	defer set.topoRLock()()
+	defer b.topoRLock()()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if e := q.cur.Load(); e != nil && set.current(e) {
+	if e := q.cur.Load(); e != nil && b.current(e) {
 		return e // another query rebuilt first
 	}
-	g := set.currentGen()
-	caps := g.capabilities()
-	lone := g.numShards() == 1 && len(set.retiredComps()) == 0
+	g := b.gen.Load()
+	comps := b.ret.comps
+	lone := len(g.shards) == 1 && len(comps) == 0
 	var e *combinedEntry
-	if caps.mergeable && !lone {
+	if g.caps.mergeable && !lone {
 		e = rebuildCombined(g)
 	}
-	if e == nil && caps.snapAll {
+	if e == nil && g.caps.snapAll {
 		e = rebuildSnaps(g)
 	}
 	if e == nil {
@@ -185,9 +150,9 @@ func (q *queryCache) entry(set elasticSet) *combinedEntry {
 	if lone {
 		e.qs, e.snaps = e.snaps[0], nil
 	}
-	e.genID = g.genID()
-	e.retVer = set.retiredVer()
-	if comps := set.retiredComps(); len(comps) > 0 {
+	e.genID = g.id
+	e.retVer = b.ret.ver.Load()
+	if len(comps) > 0 {
 		e.comps = comps
 		for _, c := range comps {
 			e.n += c.n
@@ -199,13 +164,13 @@ func (q *queryCache) entry(set elasticSet) *combinedEntry {
 
 // mergedFold folds all shards of g into one fresh summary by parallel
 // tree-merge.
-func mergedFold(g shardSet) (core.Summary, []uint64, error) {
-	p := g.numShards()
+func mergedFold[S core.Summary](g *gen[S]) (core.Summary, []uint64, error) {
+	p := len(g.shards)
 	epochs := make([]uint64, p)
 	parts := make([]core.Summary, p)
 	err := fanout(p, 0, func(i int) error {
-		m := g.freshSummary()
-		mg, ok := m.(core.Mergeable)
+		m := g.fresh()
+		mg, ok := any(m).(core.Mergeable)
 		if !ok {
 			return errFoldMerge
 		}
@@ -225,7 +190,7 @@ var errFoldMerge = errors.New("sharded: shard fold merge failed")
 
 // rebuildCombined folds all shards into one merged summary; nil when
 // any merge fails.
-func rebuildCombined(g shardSet) *combinedEntry {
+func rebuildCombined[S core.Summary](g *gen[S]) *combinedEntry {
 	sum, epochs, err := mergedFold(g)
 	if err != nil {
 		return nil
@@ -259,8 +224,8 @@ func mergeTree(parts []core.Summary) error {
 
 // rebuildSnaps flattens every shard into an exact snapshot, in
 // parallel, each under its own shard lock.
-func rebuildSnaps(g shardSet) *combinedEntry {
-	p := g.numShards()
+func rebuildSnaps[S core.Summary](g *gen[S]) *combinedEntry {
+	p := len(g.shards)
 	e := &combinedEntry{epochs: make([]uint64, p), snaps: make([]*core.QuerySnapshot, p)}
 	ns := make([]int64, p)
 	err := fanout(p, 0, func(i int) error {

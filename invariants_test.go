@@ -20,7 +20,6 @@ func TestEverySummaryImplementsCheckable(t *testing.T) {
 		"MRL99":        NewMRL99(0.01, 1),
 		"Random":       NewRandom(0.01, 1),
 		"KLL":          NewKLL(0.01, 1),
-		"Windowed":     NewWindowed(0.05, 1000, 1),
 		"DCM":          NewDCM(0.05, 12, DyadicConfig{Seed: 1}),
 		"DCS":          NewDCS(0.05, 12, DyadicConfig{Seed: 1}),
 		"DRSS":         NewDRSS(0.05, 12, DyadicConfig{Seed: 1}),
@@ -57,7 +56,6 @@ func TestInvariantsHoldUnderLoad(t *testing.T) {
 				"MRL99":      NewMRL99(0.02, rng.Next()),
 				"Random":     NewRandom(0.02, rng.Next()),
 				"KLL":        NewKLL(0.02, rng.Next()),
-				"Windowed":   NewWindowed(0.05, n/3, rng.Next()),
 			}
 			for i := 0; i < n; i++ {
 				x := gen(i, rng)

@@ -49,11 +49,9 @@ import (
 	"streamquantiles/internal/invariant"
 	"streamquantiles/internal/kll"
 	"streamquantiles/internal/mrl"
-	"streamquantiles/internal/multipass"
 	"streamquantiles/internal/ols"
 	"streamquantiles/internal/qdigest"
 	"streamquantiles/internal/randalg"
-	"streamquantiles/internal/window"
 )
 
 // Summary is the query interface shared by every quantile summary: the
@@ -169,18 +167,6 @@ type GKBiased = gk.Biased
 // error parameter eps.
 func NewGKBiased(eps float64) *GKBiased { return gk.NewBiased(eps) }
 
-// Windowed answers quantile queries over the most recent W stream
-// elements, forgetting older data (the sliding-window variation of
-// Arasu and Manku, PODS 2004): an ε-approximate quantile over a window
-// of W′ elements for some W ≤ W′ < W(1 + ε/2).
-type Windowed = window.Windowed
-
-// NewWindowed returns a sliding-window summary with error eps over the
-// last w elements; seed drives its randomized sub-summaries.
-func NewWindowed(eps float64, w int64, seed uint64) *Windowed {
-	return window.New(eps, w, seed)
-}
-
 // PostProcess runs the OLS post-processing of §3.2 on a dyadic sketch
 // and returns the corrected snapshot. eta is the truncation factor of
 // the tree-extraction step; pass 0 for the paper's sweet spot η = 0.1.
@@ -194,33 +180,6 @@ type KLL = kll.Sketch
 // NewKLL returns an empty KLL sketch with error parameter eps; seed
 // drives its compaction coin flips.
 func NewKLL(eps float64, seed uint64) *KLL { return kll.New(eps, seed) }
-
-// ReplaySource is a stream that can be scanned from the start repeatedly,
-// the input model of exact multipass selection (Munro–Paterson style).
-type ReplaySource = multipass.Source
-
-// SliceSource adapts an in-memory slice as a ReplaySource.
-type SliceSource = multipass.SliceSource
-
-// SelectStats reports the pass and candidate counts of an exact
-// selection.
-type SelectStats = multipass.Stats
-
-// SelectExact returns the element of exact rank k using at most memory
-// words of working storage and maxPasses passes over the re-readable
-// source — the limited-memory exact selection of Munro and Paterson
-// (1980) that opens the paper's history, realized with a GK summary as
-// the per-pass filter. Memory trades against passes: Θ(n^(1/p)) words
-// suffice for p passes.
-func SelectExact(src ReplaySource, k int64, memory, maxPasses int) (uint64, SelectStats, error) {
-	return multipass.Select(src, k, memory, maxPasses)
-}
-
-// SelectExactQuantile returns the exact φ-quantile of a re-readable
-// source under the same budgets.
-func SelectExactQuantile(src ReplaySource, phi float64, memory, maxPasses int) (uint64, SelectStats, error) {
-	return multipass.SelectQuantile(src, phi, memory, maxPasses)
-}
 
 // Quantiles extracts one quantile per fraction. It is QuantileBatch
 // under the name the package has always exported.

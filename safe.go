@@ -22,9 +22,8 @@ import (
 // without taking any lock at all — repeated queries on a quiet summary
 // are wait-free binary searches. Snapshots are exact, so answers are
 // byte-identical to querying the live summary; families without an
-// exact flattening (the dyadic sketches, GKBiased, Windowed) answer
-// from the live summary under the lock, so their concurrent queries
-// serialize.
+// exact flattening (the dyadic sketches and GKBiased) answer from the
+// live summary under the lock, so their concurrent queries serialize.
 
 // Flusher is implemented by summaries whose query methods first merge
 // buffered updates into the main structure. For these types a read

@@ -1,8 +1,10 @@
 package streamquantiles
 
 import (
+	"bytes"
 	"encoding"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -54,16 +56,14 @@ func TestSafeCashRegisterConcurrent(t *testing.T) {
 func TestSafeFlushersConcurrent(t *testing.T) {
 	data := batchTestData(20000)
 	for name, fresh := range map[string]func() CashRegister{
-		"GKArray": func() CashRegister { return NewGKArray(0.01) },
-		"QDigest": func() CashRegister { return NewQDigest(0.01, 16) },
+		"GKArray":  func() CashRegister { return NewGKArray(0.01) },
+		"GKBiased": func() CashRegister { return NewGKBiased(0.01) },
+		"QDigest":  func() CashRegister { return NewQDigest(0.01, 16) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			hammerSafe(t, NewSafeCashRegister(fresh()), fresh(), data)
 		})
 	}
-	t.Run("GKBiased", func(t *testing.T) {
-		hammerSafe(t, NewSafeCashRegister(NewGKBiased(0.01)), nil, data)
-	})
 }
 
 // hammerSafe feeds data to s from one writer, alternating batches and
@@ -293,10 +293,59 @@ func TestSafeSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSafeCheckpointUnsupportedSummary pins the error path for summaries
-// without codecs: a clean error, not a panic or silent no-op.
-func TestSafeCheckpointUnsupportedSummary(t *testing.T) {
+// TestSafeGKBiasedSnapshotRestore: a Safe GKBiased restored from its
+// Snapshot into a fresh wrapper is the same summary — after both take
+// more data, their answers and re-encodings match exactly.
+func TestSafeGKBiasedSnapshotRestore(t *testing.T) {
+	data := batchTestData(30000)
 	s := NewSafeCashRegister(NewGKBiased(0.01))
+	s.UpdateBatch(data[:10000])
+	for _, x := range data[10000:12345] {
+		s.Update(x)
+	}
+	blob, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewSafeCashRegister(NewGKBiased(0.5))
+	if err := restored.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []*SafeCashRegister{s, restored} {
+		w.UpdateBatch(data[12345:20000])
+		for _, x := range data[20000:] {
+			w.Update(x)
+		}
+	}
+	if s.Count() != restored.Count() {
+		t.Fatalf("count %d, restored %d", s.Count(), restored.Count())
+	}
+	phis := []float64{0.0001, 0.001, 0.01, 0.1, 0.5, 0.9}
+	if a, b := s.QuantileBatch(phis), restored.QuantileBatch(phis); !slices.Equal(a, b) {
+		t.Fatalf("QuantileBatch %v, restored %v", a, b)
+	}
+	if a, b := s.RankBatch(data[:64]), restored.RankBatch(data[:64]); !slices.Equal(a, b) {
+		t.Fatalf("RankBatch %v, restored %v", a, b)
+	}
+	a, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := restored.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("re-encodings differ (%d vs %d bytes)", len(a), len(b))
+	}
+}
+
+// TestSafeCheckpointUnsupportedSummary pins the error path for summaries
+// without codecs: a clean error, not a panic or silent no-op. Every
+// registered writable summary has a codec, so the test wraps one in
+// perItemOnly, whose method set hides it.
+func TestSafeCheckpointUnsupportedSummary(t *testing.T) {
+	s := NewSafeCashRegister(&perItemOnly{CashRegister: NewGKArray(0.01)})
 	if _, err := s.Snapshot(); err == nil {
 		t.Fatal("Snapshot on a codec-less summary did not error")
 	}
@@ -308,7 +357,7 @@ func TestSafeCheckpointUnsupportedSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Checkpoint(ck, "gkbiased"); err == nil {
+	if _, err := s.Checkpoint(ck, "codecless"); err == nil {
 		t.Fatal("Checkpoint on a codec-less summary did not error")
 	}
 	// Nothing may have been published.

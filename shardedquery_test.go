@@ -169,7 +169,7 @@ func (f oneShardFamily) fresh(eps float64) Summary {
 }
 
 // oneShardFamilies lists every registered summary: the eight
-// cash-register families, Windowed and the three dyadic sketches.
+// cash-register families and the three dyadic sketches.
 var oneShardFamilies = []oneShardFamily{
 	{name: "GKAdaptive", eps: 0.01, cash: func(e float64) CashRegister { return NewGKAdaptive(e) }},
 	{name: "GKTheory", eps: 0.01, cash: func(e float64) CashRegister { return NewGKTheory(e) }},
@@ -179,7 +179,6 @@ var oneShardFamilies = []oneShardFamily{
 	{name: "MRL99", eps: 0.01, cash: func(e float64) CashRegister { return NewMRL99(e, 7) }},
 	{name: "Random", eps: 0.01, cash: func(e float64) CashRegister { return NewRandom(e, 7) }},
 	{name: "KLL", eps: 0.01, cash: func(e float64) CashRegister { return NewKLL(e, 7) }},
-	{name: "Windowed", eps: 0.05, cash: func(e float64) CashRegister { return NewWindowed(e, 5000, 7) }},
 	{name: "DCM", eps: 0.05, turn: func(e float64) Turnstile { return NewDCM(e, 16, DyadicConfig{Seed: 7}) }},
 	{name: "DCS", eps: 0.05, turn: func(e float64) Turnstile { return NewDCS(e, 16, DyadicConfig{Seed: 7}) }},
 	{name: "DRSS", eps: 0.05, turn: func(e float64) Turnstile { return NewDRSS(e, 16, DyadicConfig{Seed: 7}) }},
